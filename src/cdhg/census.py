@@ -15,6 +15,7 @@ from .groups import (
     CutoffExceeded,
     FiniteGroup,
     direct_product,
+    element_order,
     group_automorphisms,
     inner_automorphisms,
     is_subgroup,
@@ -29,7 +30,6 @@ from .hypersets import (
     cayley_closure,
     cayley_equivalence_classes,
     inn_g_x,
-    is_cayley_closed,
     non_cayley_equivalent_representatives,
     single_cayley_closure,
 )
@@ -41,6 +41,7 @@ from .hypergraphs import (
     underlying,
 )
 from .perms import (
+    AUT_VERTEX_CUTOFF,
     Permutation,
     aut_hypergraph,
     find_regular_subgroups,
@@ -64,7 +65,7 @@ CENSUS_MAX_ORDER_CAP = 10
 CENSUS_MAX_MEMBER_CAP = 4
 
 # The regular-subgroup hunt is skipped (and reported as skipped) when the
-# ambient automorphism group is larger than this; the default census never
+# ambient automorphism group is larger than this; no instance of order <= 8
 # reaches it.
 REGULAR_SEARCH_AUT_CAP = 50000
 
@@ -91,7 +92,7 @@ class CheckTally:
     passed: int = 0
     failed: int = 0
     skipped: int = 0
-    skip_reason: str = ""
+    skip_reasons: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
     def ok(self, instance: str, good: bool, detail: str = "") -> None:
@@ -106,17 +107,31 @@ class CheckTally:
 
     def skip(self, reason: str) -> None:
         self.skipped += 1
-        self.skip_reason = reason
+        if reason not in self.skip_reasons:
+            self.skip_reasons.append(reason)
+
+    def line(self) -> str:
+        """The census report line; distinct skip reasons in first-seen order."""
+        text = f"check {self.name}: {self.passed} pass, {self.failed} fail"
+        if self.skipped:
+            text += f", {self.skipped} skipped: {'; '.join(self.skip_reasons)}"
+        return text
 
 
 @dataclass
 class CensusResult:
+    """foreign_presentations: one (instance, profiles) entry, in census
+    order, per surveyed instance that is also Cayley over a group of
+    another element-order profile, each profile written like '1-2-4-4'.
+    Instances whose regular-subgroup search is skipped are not surveyed."""
+
     max_order: int
     max_member_size: int
     group_count: int
     instance_count: int
     tallies: dict[str, CheckTally]
     nontrivial_regular_round_trips: int
+    foreign_presentations: tuple[tuple[str, tuple[str, ...]], ...]
 
     @property
     def all_pass(self) -> bool:
@@ -128,12 +143,7 @@ class CensusResult:
             f"groups: {self.group_count}",
             f"instances: {self.instance_count}",
         ]
-        for name in CHECK_NAMES:
-            t = self.tallies[name]
-            line = f"check {name}: {t.passed} pass, {t.failed} fail"
-            if t.skipped:
-                line += f", {t.skipped} skipped: {t.skip_reason}"
-            lines.append(line)
+        lines.extend(self.tallies[name].line() for name in CHECK_NAMES)
         lines.append(
             f"nontrivial_regular_round_trips: {self.nontrivial_regular_round_trips}"
         )
@@ -171,6 +181,11 @@ def census_hypersets(g: FiniteGroup, max_member_size: int) -> list[CayleyHyperse
     return sorted(found, key=lambda x: x.members)
 
 
+def _order_profile(g: FiniteGroup) -> tuple[int, ...]:
+    """Sorted element orders: equal for isomorphic groups."""
+    return tuple(sorted(element_order(g, a) for a in g.elements()))
+
+
 def _perm_image_arcs(perm: Permutation, arcs):
     im = perm.images
     return {(im[v], tuple(sorted(im[u] for u in e))) for v, e in arcs}
@@ -179,8 +194,7 @@ def _perm_image_arcs(perm: Permutation, arcs):
 def run_census(
     max_order: int = 8,
     max_member_size: int = 3,
-    aut_cutoff: int = 12,
-    regular_search_aut_cap: int = REGULAR_SEARCH_AUT_CAP,
+    aut_cutoff: int = AUT_VERTEX_CUTOFF,
 ) -> CensusResult:
     if not (1 <= max_order <= CENSUS_MAX_ORDER_CAP):
         raise ValueError(
@@ -194,8 +208,10 @@ def run_census(
     groups = census_corpus(max_order)
     instance_count = 0
     nontrivial_round_trips = 0
+    foreign_presentations = []
 
     for g in groups:
+        source_profile = _order_profile(g)
         auts_g = group_automorphisms(g)
         inns_g = inner_automorphisms(g)
         g_r = right_regular(g)
@@ -211,30 +227,33 @@ def run_census(
             )
 
             closed_once = cayley_closure(g, x)
+            closed = closed_once == x
             tallies["closure_idempotent"].ok(
                 tag,
-                closed_once == x and cayley_closure(g, closed_once) == closed_once,
+                closed and cayley_closure(g, closed_once) == closed_once,
                 "closure moved a closed hyperset",
             )
 
             generated = subgroup_generated(g, {s for m in x.members for s in m})
+            connected = is_connected(h)
             tallies["connected_iff_generating"].ok(
                 tag,
-                is_connected(h) == (len(generated) == g.order),
-                f"connected={is_connected(h)} generated_order={len(generated)}",
+                connected == (len(generated) == g.order),
+                f"connected={connected} generated_order={len(generated)}",
             )
 
+            undirected = is_undirected(h)
             tallies["undirected_iff_closed"].ok(
                 tag,
-                is_undirected(h) == is_cayley_closed(g, x),
-                f"undirected={is_undirected(h)} closed={is_cayley_closed(g, x)}",
+                undirected == closed,
+                f"undirected={undirected} closed={closed}",
             )
 
             if all(is_subgroup(g, m) for m in x.members):
                 expected_edges = sum(subgroup_index(g, m) for m in x.members)
                 tallies["subgroup_members"].ok(
                     tag,
-                    is_cayley_closed(g, x) and len(h.edges) == expected_edges,
+                    closed and len(h.edges) == expected_edges,
                     f"|E|={len(h.edges)} expected={expected_edges}",
                 )
 
@@ -291,10 +310,10 @@ def run_census(
                     tag, bad is None, f"permutation {bad and bad.images} breaks an arc"
                 )
 
-                if aut_h.order <= regular_search_aut_cap:
+                if aut_h.order <= REGULAR_SEARCH_AUT_CAP:
                     regs = find_regular_subgroups(aut_h, g.order)
-                    found_gr = any(r.perms == g_r.perms for r in regs)
-                    regs_ok = found_gr
+                    regs_ok = any(r.perms == g_r.perms for r in regs)
+                    profiles = set()
                     for r in regs:
                         if r.perms == g_r.perms:
                             continue
@@ -303,6 +322,12 @@ def run_census(
                             nontrivial_round_trips += 1
                         else:
                             regs_ok = False
+                        profiles.add(_order_profile(rec.group))
+                    profiles.discard(source_profile)
+                    if profiles:
+                        foreign_presentations.append(
+                            (tag, tuple("-".join(map(str, p)) for p in sorted(profiles)))
+                        )
                     tallies["regular_subgroups"].ok(
                         tag,
                         regs_ok,
@@ -349,4 +374,5 @@ def run_census(
         instance_count=instance_count,
         tallies=tallies,
         nontrivial_regular_round_trips=nontrivial_round_trips,
+        foreign_presentations=tuple(foreign_presentations),
     )

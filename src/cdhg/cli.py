@@ -11,7 +11,7 @@ from typing import Optional
 from .groups import CutoffExceeded, FiniteGroup, load_group
 from .hypersets import CayleyHyperset, aut_g_x, is_cayley_closed, load_hyperset
 from .hypergraphs import cd_construct, dump_dihypergraph, is_connected, is_undirected, uniformity
-from .perms import aut_hypergraph, verify_theorem2
+from .perms import AUT_VERTEX_CUTOFF, aut_hypergraph, verify_theorem2
 from .census import run_census
 
 __all__ = ["AnalysisReport", "build_analysis_report", "main"]
@@ -31,9 +31,10 @@ def build_analysis_report(
     g: FiniteGroup,
     x: CayleyHyperset,
     with_aut: bool = True,
-    aut_cutoff: int = 12,
+    aut_cutoff: int = AUT_VERTEX_CUTOFF,
 ) -> AnalysisReport:
     h = cd_construct(g, x)
+    u = uniformity(h)
     entries: list[tuple[str, str]] = [
         ("group", g.name),
         ("order", str(g.order)),
@@ -41,7 +42,7 @@ def build_analysis_report(
         ("cayley_closed", "true" if is_cayley_closed(g, x) else "false"),
         ("connected", "true" if is_connected(h) else "false"),
         ("undirected", "true" if is_undirected(h) else "false"),
-        ("uniformity", str(uniformity(h)) if uniformity(h) is not None else "none"),
+        ("uniformity", str(u) if u is not None else "none"),
         ("arcs", str(len(h.arcs))),
         ("edges", str(len(h.edges))),
     ]
@@ -52,33 +53,26 @@ def build_analysis_report(
         "theorem2_normality",
         "theorem2_stabilizer",
     )
-    if not with_aut:
-        skipped = "skipped: --no-aut"
-        entries.append(("aut_h", skipped))
-        entries.append(("aut_g_x", skipped))
-        entries.append(("normalizer", skipped))
-        entries.extend((k, skipped) for k in theorem2_keys)
-        return AnalysisReport(entries=tuple(entries))
-    try:
-        aut = aut_hypergraph(h, cutoff=aut_cutoff)
-    except CutoffExceeded:
-        skipped = f"skipped: over cutoff ({h.vertex_count} > {aut_cutoff})"
-        entries.append(("aut_h", skipped))
+    aut_h = aut_g_x_order = report = None
+    reason = "--no-aut"
+    if with_aut:
         try:
-            entries.append(("aut_g_x", str(len(aut_g_x(g, x)))))
+            aut = aut_hypergraph(h, cutoff=aut_cutoff)
+            aut_h = str(aut.order)
+            report = verify_theorem2(g, x, aut=aut)
         except CutoffExceeded as exc:
-            entries.append(("aut_g_x", f"skipped: {exc}"))
-        entries.append(("normalizer", skipped))
-        entries.extend((k, skipped) for k in theorem2_keys)
-        return AnalysisReport(entries=tuple(entries))
-    entries.append(("aut_h", str(aut.order)))
-    try:
-        report = verify_theorem2(g, x, aut=aut)
-    except CutoffExceeded as exc:
-        skipped = f"skipped: {exc}"
-        entries.append(("aut_g_x", skipped))
-        entries.append(("normalizer", skipped))
-        entries.extend((k, skipped) for k in theorem2_keys)
+            reason = str(exc)
+        if aut_h is None:
+            # the group-side search has its own cutoff
+            try:
+                aut_g_x_order = str(len(aut_g_x(g, x)))
+            except CutoffExceeded as exc:
+                aut_g_x_order = f"skipped: {exc}"
+    skipped = f"skipped: {reason}"
+    entries.append(("aut_h", aut_h or skipped))
+    if report is None:
+        entries.append(("aut_g_x", aut_g_x_order or skipped))
+        entries.extend((k, skipped) for k in ("normalizer", *theorem2_keys))
         return AnalysisReport(entries=tuple(entries))
     entries.append(("aut_g_x", str(report.aut_g_x_order)))
     entries.append(("normalizer", str(report.normalizer_order)))
@@ -124,13 +118,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_analyze.add_argument("--group", required=True, help="group file")
     p_analyze.add_argument("--hyperset", required=True, help="hyperset file")
     p_analyze.add_argument("--no-aut", action="store_true", help="skip automorphism-dependent fields")
-    p_analyze.add_argument("--aut-cutoff", type=int, default=12, help="vertex cutoff for the automorphism search")
+    p_analyze.add_argument("--aut-cutoff", type=int, default=AUT_VERTEX_CUTOFF, help="vertex cutoff for the automorphism search")
     p_analyze.add_argument("--out", help="write the report here instead of stdout")
 
     p_census = sub.add_parser("census", help="run the verification sweep over small groups")
     p_census.add_argument("--max-order", type=int, default=8, help="largest group order")
     p_census.add_argument("--max-member-size", type=int, default=3, help="largest seed subset size")
-    p_census.add_argument("--aut-cutoff", type=int, default=12, help="vertex cutoff for the automorphism search")
+    p_census.add_argument("--aut-cutoff", type=int, default=AUT_VERTEX_CUTOFF, help="vertex cutoff for the automorphism search")
     p_census.add_argument("--out", help="write the report here instead of stdout")
 
     args = parser.parse_args(argv)

@@ -11,16 +11,15 @@ from typing import Iterable, Optional
 
 from .groups import CutoffExceeded, FiniteGroup, generating_set
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
-from .hypergraphs import Dihypergraph, _arc_preserving_maps, cd_construct
+from .hypergraphs import ISO_VERTEX_CUTOFF, Dihypergraph, _arc_preserving_maps, cd_construct
 
 __all__ = [
-    "CLOSURE_CAP",
+    "AUT_VERTEX_CUTOFF",
     "Permutation",
     "PermGroup",
     "CayleyRecovery",
     "Theorem2Report",
     "right_regular",
-    "generate_closure",
     "is_regular",
     "aut_hypergraph",
     "find_regular_subgroups",
@@ -30,8 +29,9 @@ __all__ = [
     "dump_permgroup",
 ]
 
-# generate_closure refuses to grow past this many permutations.
-CLOSURE_CAP = 10**6
+# aut_hypergraph refuses dihypergraphs with more vertices than this by
+# default; the census, the analysis report and the CLI share it.
+AUT_VERTEX_CUTOFF = 12
 
 
 @dataclass(frozen=True)
@@ -99,41 +99,6 @@ def right_regular(g: FiniteGroup) -> PermGroup:
     return PermGroup(degree=g.order, perms=perms, generators=gens or None)
 
 
-def generate_closure(
-    perms: Iterable[Permutation], degree: Optional[int] = None, cap: int = CLOSURE_CAP
-) -> PermGroup:
-    """Close a generating set under composition, starting from the identity.
-
-    degree is inferred from the generators; pass it explicitly when the
-    generating set is empty.
-    """
-    gens = list(perms)
-    if gens:
-        degrees = {p.degree for p in gens}
-        if len(degrees) != 1:
-            raise ValueError(f"generators act on mixed degrees {sorted(degrees)}")
-        inferred = degrees.pop()
-        if degree is not None and degree != inferred:
-            raise ValueError(f"stated degree {degree} does not match generators of degree {inferred}")
-        degree = inferred
-    elif degree is None:
-        raise ValueError("degree is required when the generating set is empty")
-    known = {Permutation.identity(degree)}
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for s in gens:
-                q = p.then(s)
-                if q not in known:
-                    known.add(q)
-                    fresh.append(q)
-        if len(known) > cap:
-            raise CutoffExceeded(f"closure exceeded the cap of {cap} permutations")
-        frontier = fresh
-    return PermGroup(degree=degree, perms=frozenset(known), generators=tuple(gens) or None)
-
-
 def _orbit_of(perms: Iterable[Permutation], start: int) -> set[int]:
     seen = {start}
     frontier = [start]
@@ -155,13 +120,13 @@ def is_regular(p: PermGroup, n: int) -> bool:
     return len(_orbit_of(p.perms, 0)) == n
 
 
-def aut_hypergraph(h: Dihypergraph, cutoff: int = 12) -> PermGroup:
+def aut_hypergraph(h: Dihypergraph, cutoff: int = AUT_VERTEX_CUTOFF) -> PermGroup:
     """Every vertex permutation preserving the arc set, by backtracking
-    over signature-compatible images.  Refused above the vertex cutoff."""
-    if h.vertex_count > cutoff:
-        raise CutoffExceeded(
-            f"vertex count {h.vertex_count} exceeds the automorphism cutoff {cutoff}"
-        )
+    over signature-compatible images.  Refused as 'over cutoff (n > limit)'
+    above the lower of cutoff and ISO_VERTEX_CUTOFF."""
+    limit = min(cutoff, ISO_VERTEX_CUTOFF)
+    if h.vertex_count > limit:
+        raise CutoffExceeded(f"over cutoff ({h.vertex_count} > {limit})")
     maps = _arc_preserving_maps(h, h, find_all=True)
     return PermGroup(degree=h.vertex_count, perms=frozenset(Permutation(m) for m in maps))
 
@@ -261,12 +226,11 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
 
 @dataclass(frozen=True)
 class CayleyRecovery:
-    """Output of the regular-subgroup reconstruction: a group, a hyperset,
-    and the vertex labeling that exhibits the isomorphism."""
+    """Output of the regular-subgroup reconstruction: a group and a
+    hyperset over the same vertex labels 0..n-1 as the dihypergraph."""
 
     group: FiniteGroup
     hyperset: CayleyHyperset
-    labeling: tuple[int, ...]
 
 
 def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
@@ -296,7 +260,7 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
                 raise ValueError(f"arc at the base vertex has edge {e} missing the vertex itself")
             members.append(e)
     hyperset = validate_hyperset(group, members)
-    return CayleyRecovery(group=group, hyperset=hyperset, labeling=tuple(range(n)))
+    return CayleyRecovery(group=group, hyperset=hyperset)
 
 
 def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
@@ -340,10 +304,7 @@ class Theorem2Report:
 
 
 def verify_theorem2(
-    g: FiniteGroup,
-    x: CayleyHyperset,
-    aut_cutoff: int = 12,
-    aut: Optional[PermGroup] = None,
+    g: FiniteGroup, x: CayleyHyperset, aut: Optional[PermGroup] = None
 ) -> Theorem2Report:
     """Check that the normalizer of the right translations inside the
     dihypergraph's automorphisms factors as translations composed with
@@ -353,7 +314,7 @@ def verify_theorem2(
     the search.
     """
     if aut is None:
-        aut = aut_hypergraph(cd_construct(g, x), cutoff=aut_cutoff)
+        aut = aut_hypergraph(cd_construct(g, x))
     g_r = right_regular(g)
     norm = normalizer(aut, g_r)
     sigma = [Permutation(a.map) for a in aut_g_x(g, x)]

@@ -10,6 +10,7 @@ from cdhg import (
     run_census,
     validate_hyperset,
 )
+from cdhg.census import CheckTally
 from conftest import FANO_MEMBERS
 
 
@@ -52,6 +53,9 @@ def test_run_census_small_bounds():
     for tally in result.tallies.values():
         assert tally.failed == 0
         assert tally.skipped == 0
+    assert len(result.foreign_presentations) == 11
+    # Z4's loops give Aut = S4, which also holds the Klein group's translations
+    assert result.foreign_presentations[0] == ("Z4 X=[(0,)]", ("1-2-2-2",))
 
 
 def test_run_census_render_golden():
@@ -76,6 +80,40 @@ def test_run_census_render_golden():
         "nontrivial_regular_round_trips: 22\n"
         "result: PASS\n"
     )
+
+
+def test_run_census_foreign_presentations_order_7():
+    assert len(run_census(max_order=7, max_member_size=3).foreign_presentations) == 35
+
+
+def test_full_census_foreign_presentations(full_census):
+    census, _ = full_census
+    foreign = dict(census.foreign_presentations)
+    assert len(census.foreign_presentations) == len(foreign) == 89
+    # Aut of the loops over Z8 is S8, which holds a regular copy of each
+    # group of order 8: Z2xZ2xZ2, D4, Z2xZ4 and Q8 besides Z8
+    assert foreign["Z8 X=[(0,)]"] == (
+        "1-2-2-2-2-2-2-2",
+        "1-2-2-2-2-2-4-4",
+        "1-2-2-2-4-4-4-4",
+        "1-2-4-4-4-4-4-4",
+    )
+
+
+def test_check_tally_renders_each_skip_reason_once():
+    tally = CheckTally("regular_subgroups")
+    for reason in ("aut over cutoff", "aut order over regular-search cap", "aut over cutoff"):
+        tally.skip(reason)
+    assert tally.skipped == 3
+    assert tally.line() == (
+        "check regular_subgroups: 0 pass, 0 fail, 3 skipped: "
+        "aut over cutoff; aut order over regular-search cap"
+    )
+    single = CheckTally("aut_intersection")
+    single.skip("aut over cutoff")
+    single.skip("aut over cutoff")
+    assert single.line() == "check aut_intersection: 0 pass, 0 fail, 2 skipped: aut over cutoff"
+    assert CheckTally("arc_count", passed=4).line() == "check arc_count: 4 pass, 0 fail"
 
 
 def test_run_census_trivial_bound():

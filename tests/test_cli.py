@@ -130,6 +130,27 @@ def test_analyze_cutoff_marker(capsys):
     assert "aut_g_x: 3" in lines
 
 
+def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
+    # a cutoff above the backtracking search's own limit of 20 vertices
+    # is refused at 20, and the line says so
+    group_file = tmp_path / "z21.group"
+    group_file.write_text(serialize_group(make_cyclic(21)))
+    hyperset_file = tmp_path / "step.hyperset"
+    hyperset_file.write_text("0 1\n")
+    rc, out, _ = run(
+        capsys,
+        "analyze",
+        "--group", str(group_file),
+        "--hyperset", str(hyperset_file),
+        "--aut-cutoff", "30",
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert "aut_h: skipped: over cutoff (21 > 20)" in lines
+    assert "normalizer: skipped: over cutoff (21 > 20)" in lines
+    assert "aut_g_x: 1" in lines
+
+
 def test_analyze_is_deterministic(capsys):
     argv = ("analyze", "--group", str(DATA / "z6.group"), "--hyperset", str(DATA / "mixed.hyperset"))
     _, first, _ = run(capsys, *argv)

@@ -13,7 +13,6 @@ from cdhg import (
     census_corpus,
     dump_permgroup,
     find_regular_subgroups,
-    generate_closure,
     hypergraph_isomorphic,
     is_regular,
     make_cyclic,
@@ -26,6 +25,11 @@ from cdhg import (
 )
 
 CORPUS8 = census_corpus(8)
+
+
+def closure(n, *gens):
+    """The permutation group generated by image tuples, closed by the oracle."""
+    return PermGroup(n, frozenset(Permutation(p) for p in oracles._perm_closure(gens, n)))
 
 
 def test_composition_is_left_to_right():
@@ -61,37 +65,10 @@ def test_right_regular_dihedral_fixed_points():
     assert with_fixed == [Permutation.identity(6)]
 
 
-def test_generate_closure_empty():
-    p = generate_closure([], degree=4)
-    assert p.perms == frozenset({Permutation.identity(4)})
-
-
-def test_generate_closure_seven_cycle():
-    cyc = Permutation(tuple((v + 1) % 7 for v in range(7)))
-    assert generate_closure([cyc]).order == 7
-
-
-def test_generate_closure_symmetric_4():
-    gens = [Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))]
-    assert generate_closure(gens).order == 24
-
-
-def test_generate_closure_rejects_mixed_degrees():
-    with pytest.raises(ValueError):
-        generate_closure([Permutation((1, 0)), Permutation((0, 1, 2))])
-
-
-def test_generate_closure_respects_cap():
-    gens = [Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))]
-    with pytest.raises(CutoffExceeded):
-        generate_closure(gens, cap=10)
-
-
 def test_is_regular():
     assert is_regular(right_regular(make_cyclic(7)), 7)
-    s3 = generate_closure([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
-    assert not is_regular(s3, 3)
-    klein = generate_closure([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    assert not is_regular(closure(3, (1, 0, 2), (1, 2, 0)), 3)
+    klein = closure(4, (1, 0, 3, 2), (2, 3, 0, 1))
     assert is_regular(klein, 4)
 
 
@@ -131,7 +108,7 @@ def test_aut_refuses_over_cutoff():
     from cdhg import Dihypergraph
 
     h = Dihypergraph(vertex_count=13, arcs=frozenset())
-    with pytest.raises(CutoffExceeded):
+    with pytest.raises(CutoffExceeded, match=r"over cutoff \(13 > 12\)"):
         aut_hypergraph(h)
 
 
@@ -151,7 +128,7 @@ def test_find_regular_subgroups_contains_translations(fano_group, fano_cd):
 
 
 def test_find_regular_subgroups_trivial_cases():
-    only_id = generate_closure([], degree=3)
+    only_id = closure(3)
     assert find_regular_subgroups(only_id, 3) == []
     z6_r = right_regular(make_cyclic(6))
     regs = find_regular_subgroups(z6_r, 6)
@@ -181,7 +158,6 @@ def test_round_trip_returns_input_exactly(fano_group, fano_x, fano_cd):
     rec = regular_to_cayley(fano_cd, right_regular(fano_group))
     assert rec.group == fano_group
     assert rec.hyperset == fano_x
-    assert rec.labeling == tuple(range(7))
     assert cd_construct(rec.group, rec.hyperset) == fano_cd
 
 
@@ -200,9 +176,8 @@ def test_round_trip_with_foreign_regular_subgroup():
 
 
 def test_regular_to_cayley_rejects_irregular(fano_cd):
-    s3 = generate_closure([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
     with pytest.raises(ValueError):
-        regular_to_cayley(fano_cd, s3)
+        regular_to_cayley(fano_cd, closure(3, (1, 0, 2), (1, 2, 0)))
 
 
 def test_normalizer_of_self():
@@ -217,9 +192,8 @@ def test_normalizer_in_fano_aut(fano_group, fano_cd):
 
 
 def test_normalizer_of_rotations_in_s3():
-    s3 = generate_closure([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
-    a3 = generate_closure([Permutation((1, 2, 0))])
-    assert normalizer(s3, a3).order == 6
+    s3 = closure(3, (1, 0, 2), (1, 2, 0))
+    assert normalizer(s3, closure(3, (1, 2, 0))).order == 6
 
 
 def test_theorem2_fano(fano_group, fano_x):
