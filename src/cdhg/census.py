@@ -34,6 +34,7 @@ from .hypersets import (
     single_cayley_closure,
 )
 from .hypergraphs import (
+    Dihypergraph,
     cd_construct,
     ch_construct,
     is_connected,
@@ -191,6 +192,27 @@ def _perm_image_arcs(perm: Permutation, arcs):
     return {(im[v], tuple(sorted(im[u] for u in e))) for v, e in arcs}
 
 
+def _heavy_layers(h: Dihypergraph, aut_cutoff: int):
+    """Aut(h), or None over the cutoff, and one (perms, round trips,
+    order profile) triple per regular subgroup of Aut(h), or None when the
+    search is over its cap.  All of it depends on the arcs alone."""
+    try:
+        aut_h = aut_hypergraph(h, cutoff=aut_cutoff)
+    except CutoffExceeded:
+        return None, None
+    if aut_h.order > REGULAR_SEARCH_AUT_CAP:
+        return aut_h, None
+    regs = []
+    for r in find_regular_subgroups(aut_h, h.vertex_count):
+        rec = regular_to_cayley(h, r)
+        regs.append((
+            r.perms,
+            cd_construct(rec.group, rec.hyperset) == h,
+            _order_profile(rec.group),
+        ))
+    return aut_h, regs
+
+
 def run_census(
     max_order: int = 8,
     max_member_size: int = 3,
@@ -209,6 +231,9 @@ def run_census(
     instance_count = 0
     nontrivial_round_trips = 0
     foreign_presentations = []
+    # Aut(h) and its regular subgroups depend on the arcs alone, and
+    # groups of one order can give the same arcs: each arc set is searched once
+    by_arcs: dict[frozenset, tuple] = {}
 
     for g in groups:
         source_profile = _order_profile(g)
@@ -277,9 +302,10 @@ def run_census(
                     "translate family depends on the representative choice",
                 )
 
-            try:
-                aut_h = aut_hypergraph(h, cutoff=aut_cutoff)
-            except CutoffExceeded:
+            if h.arcs not in by_arcs:
+                by_arcs[h.arcs] = _heavy_layers(h, aut_cutoff)
+            aut_h, regs = by_arcs[h.arcs]
+            if aut_h is None:
                 for name in (
                     "right_regular_in_aut",
                     "aut_preserves_arcs",
@@ -288,9 +314,7 @@ def run_census(
                     "aut_intersection",
                 ):
                     tallies[name].skip("aut over cutoff")
-                aut_h = None
-
-            if aut_h is not None:
+            else:
                 tallies["right_regular_in_aut"].ok(
                     tag,
                     g_r.perms <= aut_h.perms,
@@ -310,19 +334,17 @@ def run_census(
                     tag, bad is None, f"permutation {bad and bad.images} breaks an arc"
                 )
 
-                if aut_h.order <= REGULAR_SEARCH_AUT_CAP:
-                    regs = find_regular_subgroups(aut_h, g.order)
-                    regs_ok = any(r.perms == g_r.perms for r in regs)
+                if regs is not None:
+                    regs_ok = any(perms == g_r.perms for perms, _, _ in regs)
                     profiles = set()
-                    for r in regs:
-                        if r.perms == g_r.perms:
+                    for perms, round_trips, profile in regs:
+                        if perms == g_r.perms:
                             continue
-                        rec = regular_to_cayley(h, r)
-                        if cd_construct(rec.group, rec.hyperset) == h:
+                        if round_trips:
                             nontrivial_round_trips += 1
                         else:
                             regs_ok = False
-                        profiles.add(_order_profile(rec.group))
+                        profiles.add(profile)
                     profiles.discard(source_profile)
                     if profiles:
                         foreign_presentations.append(

@@ -9,7 +9,7 @@ share one edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .groups import CutoffExceeded, FiniteGroup
 from .hypersets import CayleyHyperset, are_cayley_equivalent, right_translate

@@ -114,6 +114,14 @@ def _compose(p, q):
     return tuple(q[v] for v in p)
 
 
+def _inverse(p):
+    """Inverse of an image tuple."""
+    out = [0] * len(p)
+    for v, w in enumerate(p):
+        out[w] = v
+    return tuple(out)
+
+
 def _perm_closure(gens, n):
     """Group generated by image tuples, as a frozenset of image tuples."""
     identity = tuple(range(n))
@@ -160,3 +168,15 @@ def brute_regular_subgroups(perms, n):
         if len(orbit) == n:
             regulars.append(s)
     return regulars
+
+
+def brute_normalizer(big, small):
+    """Elements x of big with x^-1 s x in small for every s in small, by
+    full scan.  big, small: iterables of image tuples forming groups."""
+    small = frozenset(small)
+    found = set()
+    for x in big:
+        xi = _inverse(x)
+        if all(_compose(_compose(xi, s), x) in small for s in small):
+            found.add(x)
+    return frozenset(found)

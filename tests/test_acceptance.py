@@ -15,7 +15,6 @@ from cdhg import (
     cayley_closure,
     cd_construct,
     census_corpus,
-    make_cyclic,
     normalizer,
     right_regular,
     single_cayley_closure,
@@ -25,7 +24,7 @@ from cdhg import (
     validate_hyperset,
     verify_theorem2,
 )
-from conftest import ACCEPTANCE_LINES, FANO_EDGES, FANO_MEMBERS
+from conftest import ACCEPTANCE_LINES, FANO_EDGES
 
 
 def report(num, label, ok, detail=""):

@@ -86,6 +86,25 @@ def test_run_census_foreign_presentations_order_7():
     assert len(run_census(max_order=7, max_member_size=3).foreign_presentations) == 35
 
 
+def test_run_census_searches_each_arc_set_once(monkeypatch):
+    import cdhg.census
+
+    calls = {"aut_hypergraph": 0, "find_regular_subgroups": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cdhg.census, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cdhg.census, name, counted)
+    result = run_census(max_order=7, max_member_size=3)
+    # 61 instances over 44 distinct arc sets: one search of each per arc set
+    assert result.instance_count == 61
+    assert calls == {"aut_hypergraph": 44, "find_regular_subgroups": 44}
+    text = result.render()
+    assert "nontrivial_regular_round_trips: 497\n" in text
+    assert text.endswith("result: PASS\n")
+
+
 def test_full_census_foreign_presentations(full_census):
     census, _ = full_census
     foreign = dict(census.foreign_presentations)

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from cdhg import make_cyclic, serialize_group
 from cdhg.cli import main
 

@@ -23,7 +23,7 @@ from cdhg import (
     uniformity,
     validate_hyperset,
 )
-from conftest import FANO_EDGES, FANO_MEMBERS
+from conftest import FANO_EDGES
 
 CORPUS8 = census_corpus(8)
 

@@ -32,6 +32,11 @@ def closure(n, *gens):
     return PermGroup(n, frozenset(Permutation(p) for p in oracles._perm_closure(gens, n)))
 
 
+def symmetric(n):
+    """The full symmetric group on n points, from a transposition and an n-cycle."""
+    return closure(n, (1, 0, *range(2, n)), (*range(1, n), 0))
+
+
 def test_composition_is_left_to_right():
     a = Permutation((1, 2, 0))
     b = Permutation((0, 2, 1))
@@ -154,6 +159,15 @@ def test_find_regular_subgroups_full_hyperset():
     assert len(kleins) == 1
 
 
+@pytest.mark.parametrize("n, expected", [(5, 6), (6, 80), (7, 120)])
+def test_find_regular_subgroups_in_symmetric_group(n, expected):
+    # sum over the groups G of order n of (n-1)!/|Aut(G)|: Z5 (|Aut| 4),
+    # Z6 (2) and S3 (6), Z7 (6)
+    regs = find_regular_subgroups(symmetric(n), n)
+    assert len(regs) == expected
+    assert all(is_regular(r, n) for r in regs)
+
+
 def test_round_trip_returns_input_exactly(fano_group, fano_x, fano_cd):
     rec = regular_to_cayley(fano_cd, right_regular(fano_group))
     assert rec.group == fano_group
@@ -194,6 +208,25 @@ def test_normalizer_in_fano_aut(fano_group, fano_cd):
 def test_normalizer_of_rotations_in_s3():
     s3 = closure(3, (1, 0, 2), (1, 2, 0))
     assert normalizer(s3, closure(3, (1, 2, 0))).order == 6
+
+
+@pytest.mark.parametrize("n, gens, order", [
+    (4, [(1, 0, 2, 3)], 4),
+    (4, [(1, 0, 3, 2)], 8),
+    (4, [], 24),
+    (5, [(0, 2, 1, 3, 4)], 12),
+    (5, [(1, 0, 2, 3, 4), (0, 1, 3, 2, 4)], 8),
+])
+def test_normalizer_of_intransitive_subgroups(n, gens, order):
+    # small fixes a point or is not transitive, so elements moving 0
+    # outside its orbit are scanned too
+    big = symmetric(n)
+    small = closure(n, *gens)
+    norm = normalizer(big, small)
+    assert {p.images for p in norm.perms} == oracles.brute_normalizer(
+        [p.images for p in big.perms], [p.images for p in small.perms]
+    )
+    assert norm.order == order
 
 
 def test_theorem2_fano(fano_group, fano_x):
