@@ -193,15 +193,21 @@ def _perm_image_arcs(perm: Permutation, arcs):
 
 
 def _heavy_layers(h: Dihypergraph, aut_cutoff: int):
-    """Aut(h), or None over the cutoff, and one (perms, round trips,
-    order profile) triple per regular subgroup of Aut(h), or None when the
-    search is over its cap.  All of it depends on the arcs alone."""
+    """Aut(h), or None over the cutoff; the first element of Aut(h) that
+    moves an arc off the arc set, or None when every element keeps it; and
+    one (perms, round trips, order profile) triple per regular subgroup of
+    Aut(h), or None when the search is over its cap.  All of it depends on
+    the arcs alone."""
     try:
         aut_h = aut_hypergraph(h, cutoff=aut_cutoff)
     except CutoffExceeded:
-        return None, None
+        return None, None, None
+    arc_set = set(h.arcs)
+    bad = next(
+        (p for p in aut_h.perms if _perm_image_arcs(p, h.arcs) != arc_set), None
+    )
     if aut_h.order > REGULAR_SEARCH_AUT_CAP:
-        return aut_h, None
+        return aut_h, bad, None
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
         rec = regular_to_cayley(h, r)
@@ -210,7 +216,7 @@ def _heavy_layers(h: Dihypergraph, aut_cutoff: int):
             cd_construct(rec.group, rec.hyperset) == h,
             _order_profile(rec.group),
         ))
-    return aut_h, regs
+    return aut_h, bad, regs
 
 
 def run_census(
@@ -231,8 +237,9 @@ def run_census(
     instance_count = 0
     nontrivial_round_trips = 0
     foreign_presentations = []
-    # Aut(h) and its regular subgroups depend on the arcs alone, and
-    # groups of one order can give the same arcs: each arc set is searched once
+    # Aut(h), its arc check and its regular subgroups depend on the arcs
+    # alone, and groups of one order can give the same arcs: each arc set
+    # is searched and checked once
     by_arcs: dict[frozenset, tuple] = {}
 
     for g in groups:
@@ -304,7 +311,7 @@ def run_census(
 
             if h.arcs not in by_arcs:
                 by_arcs[h.arcs] = _heavy_layers(h, aut_cutoff)
-            aut_h, regs = by_arcs[h.arcs]
+            aut_h, bad, regs = by_arcs[h.arcs]
             if aut_h is None:
                 for name in (
                     "right_regular_in_aut",
@@ -321,15 +328,6 @@ def run_census(
                     "a right translation is not an automorphism",
                 )
 
-                arc_set = set(h.arcs)
-                bad = next(
-                    (
-                        p
-                        for p in aut_h.perms
-                        if _perm_image_arcs(p, h.arcs) != arc_set
-                    ),
-                    None,
-                )
                 tallies["aut_preserves_arcs"].ok(
                     tag, bad is None, f"permutation {bad and bad.images} breaks an arc"
                 )

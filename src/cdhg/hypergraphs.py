@@ -9,7 +9,7 @@ share one edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .groups import CutoffExceeded, FiniteGroup
 from .hypersets import CayleyHyperset, are_cayley_equivalent, right_translate
@@ -167,20 +167,25 @@ def _vertex_signatures(h: Dihypergraph) -> list[tuple]:
     return refined
 
 
-def _arc_preserving_maps(
-    a: Dihypergraph, b: Dihypergraph, find_all: bool
-) -> list[tuple[int, ...]]:
-    """Vertex bijections mapping the arcs of a onto the arcs of b.
+def _completion_search(
+    a: Dihypergraph, b: Dihypergraph
+) -> Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """The search for vertex bijections mapping the arcs of a onto the
+    arcs of b, as a function of a prefix: given the images of vertices
+    0..len(prefix)-1, it returns the first arc-preserving completion, as
+    an image tuple, or None.
 
     Backtracking in natural vertex order; each arc of a is verified as
     soon as its last vertex receives an image.  Candidate images are
-    limited to vertices with an equal signature.
+    limited to vertices with an equal signature, and a prefix image
+    without one ends the search at once.  The invariants are computed
+    once, so repeated prefixes share them.
     """
     n = a.vertex_count
     if n != b.vertex_count or len(a.arcs) != len(b.arcs):
-        return []
+        return lambda prefix: None
     if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
-        return []
+        return lambda prefix: None
     if n > ISO_VERTEX_CUTOFF:
         raise CutoffExceeded(
             f"vertex count {n} exceeds the isomorphism search cutoff {ISO_VERTEX_CUTOFF}"
@@ -188,7 +193,7 @@ def _arc_preserving_maps(
     sig_a = _vertex_signatures(a)
     sig_b = _vertex_signatures(b)
     if sorted(sig_a) != sorted(sig_b):
-        return []
+        return lambda prefix: None
     candidates = [
         tuple(w for w in range(n) if sig_b[w] == sig_a[v]) for v in range(n)
     ]
@@ -198,38 +203,41 @@ def _arc_preserving_maps(
     for v, e in sorted(a.arcs):
         pending[max(v, e[-1])].append((v, e))
 
-    mapping = [-1] * n
-    used = [False] * n
-    results: list[tuple[int, ...]] = []
+    def first(prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        choices = [
+            (w,) if w in candidates[k] else () for k, w in enumerate(prefix)
+        ] + candidates[len(prefix):]
+        mapping = [-1] * n
+        used = [False] * n
 
-    def descend(k: int) -> bool:
-        if k == n:
-            results.append(tuple(mapping))
-            return not find_all
-        for w in candidates[k]:
-            if used[w]:
-                continue
-            mapping[k] = w
-            used[w] = True
-            ok = all(
-                (mapping[v], frozenset(mapping[u] for u in e)) in arcs_b
-                for v, e in pending[k]
-            )
-            if ok and descend(k + 1):
+        def descend(k: int) -> bool:
+            if k == n:
                 return True
-            mapping[k] = -1
-            used[w] = False
-        return False
+            for w in choices[k]:
+                if used[w]:
+                    continue
+                mapping[k] = w
+                used[w] = True
+                ok = all(
+                    (mapping[v], frozenset(mapping[u] for u in e)) in arcs_b
+                    for v, e in pending[k]
+                )
+                if ok and descend(k + 1):
+                    return True
+                mapping[k] = -1
+                used[w] = False
+            return False
 
-    descend(0)
-    return results
+        return tuple(mapping) if descend(0) else None
+
+    return first
 
 
 def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[int, ...]]:
     """A vertex bijection carrying the arcs of a onto the arcs of b, as an
-    image tuple, or None.  Size mismatches short-circuit to None."""
-    maps = _arc_preserving_maps(a, b, find_all=False)
-    return maps[0] if maps else None
+    image tuple, or None: the first completion of the empty prefix.  Size
+    mismatches short-circuit to None."""
+    return _completion_search(a, b)(())
 
 
 def dump_dihypergraph(h: Dihypergraph) -> str:

@@ -6,13 +6,14 @@ matching the exponent convention v^(ab) = (v^a)^b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .groups import CutoffExceeded, FiniteGroup, generating_set
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
-from .hypergraphs import ISO_VERTEX_CUTOFF, Dihypergraph, _arc_preserving_maps, cd_construct
+from .hypergraphs import ISO_VERTEX_CUTOFF, Dihypergraph, _completion_search, cd_construct
 
 __all__ = [
     "AUT_VERTEX_CUTOFF",
@@ -121,15 +122,54 @@ def is_regular(p: PermGroup, n: int) -> bool:
     return len(_orbit_of(p.perms, 0)) == n
 
 
+def _products(
+    group: Iterable[tuple[int, ...]], reps: list[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The image tuples of s then r for s in group and r in reps, made on
+    demand, so a chain of these holds no level of a group in memory.
+    reps holds more than the identity, so n >= 2 and itemgetter(*s)(r)
+    is a tuple."""
+    for s in group:
+        yield from map(itemgetter(*s), reps)
+
+
 def aut_hypergraph(h: Dihypergraph, cutoff: int = AUT_VERTEX_CUTOFF) -> PermGroup:
-    """Every vertex permutation preserving the arc set, by backtracking
-    over signature-compatible images.  Refused as 'over cutoff (n > limit)'
-    above the lower of cutoff and ISO_VERTEX_CUTOFF."""
+    """Every vertex permutation preserving the arc set.  Refused as
+    'over cutoff (n > limit)' above the lower of cutoff and
+    ISO_VERTEX_CUTOFF.
+
+    The group is found as a chain of pointwise stabilisers: G^(k) holds
+    the automorphisms fixing each of 0..k-1.  For each image w != k of k,
+    one search for the first arc-preserving completion of the prefix
+    (0, ..., k-1, w) either fails or yields an element of G^(k) sending
+    k to w; with the identity for w = k these form a transversal T_k of
+    G^(k+1) in G^(k).  Every element of G^(k) is then s then r for one
+    s in G^(k+1) and one r in T_k, and these products are distinct, so
+    the group is rebuilt level by level from the transversals, with
+    |Aut| = prod |T_k| and no arc check on the products.  The isomorphism
+    test shares the search (hypergraph_isomorphic).
+    """
+    n = h.vertex_count
     limit = min(cutoff, ISO_VERTEX_CUTOFF)
-    if h.vertex_count > limit:
-        raise CutoffExceeded(f"over cutoff ({h.vertex_count} > {limit})")
-    maps = _arc_preserving_maps(h, h, find_all=True)
-    return PermGroup(degree=h.vertex_count, perms=frozenset(Permutation(m) for m in maps))
+    if n > limit:
+        raise CutoffExceeded(f"over cutoff ({n} > {limit})")
+    first = _completion_search(h, h)
+    identity = tuple(range(n))
+    transversals = []
+    for k in range(n):
+        found = (first((*range(k), w)) for w in range(k + 1, n))
+        transversals.append([identity, *(m for m in found if m is not None)])
+    group: Iterable[tuple[int, ...]] = [identity]
+    for reps in reversed(transversals):
+        if len(reps) > 1:
+            group = _products(group, reps)
+    perms = frozenset(map(Permutation, group))
+    expected = math.prod(len(reps) for reps in transversals)
+    if len(perms) != expected:
+        raise RuntimeError(
+            f"stabiliser chain gives {len(perms)} distinct products, expected {expected}"
+        )
+    return PermGroup(degree=n, perms=perms)
 
 
 def _is_semiregular(p: Permutation) -> bool:

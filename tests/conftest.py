@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 from cdhg import (
     cd_construct,
@@ -21,6 +22,26 @@ FANO_EDGES = {
     (1, 5, 6),
     (0, 2, 6),
 }
+
+
+@st.composite
+def dihypergraph_texts(draw, n=None):
+    """(n, arcs, text): up to 8 random arcs on n <= 6 vertices and their
+    dump-format text.
+
+    An arc's vertex may lie outside its edge, the arc list may be empty,
+    and edges are written in drawn order, so loading the text sorts them.
+    """
+    if n is None:
+        n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edge = st.lists(vertex, min_size=1, max_size=n, unique=True)
+    arcs = draw(st.lists(st.tuples(vertex, edge), max_size=8))
+    text = f"dihypergraph {n}\n" + "".join(
+        f"arc {v} : {' '.join(map(str, e))}\n" for v, e in arcs
+    )
+    return n, arcs, text
+
 
 # one "PASS criterion n: ..." line per acceptance criterion, echoed after
 # the run so the verdicts are visible in plain pytest output

@@ -23,7 +23,7 @@ from cdhg import (
     uniformity,
     validate_hyperset,
 )
-from conftest import FANO_EDGES
+from conftest import FANO_EDGES, dihypergraph_texts
 
 CORPUS8 = census_corpus(8)
 
@@ -182,6 +182,17 @@ def test_isomorphic_short_circuits_size_mismatch(fano_cd):
     assert hypergraph_isomorphic(fano_cd, other) is None
 
 
+def test_isomorphism_first_map_is_pinned(fano_cd):
+    # the search order is fixed (vertices in order, candidate images in
+    # order), so the map returned is the first in that order, not any one
+    p = (3, 6, 0, 5, 1, 4, 2)
+    assert hypergraph_isomorphic(fano_cd, relabel(fano_cd, p)) == (0, 1, 2, 6, 5, 4, 3)
+    d4 = next(g for g in CORPUS8 if g.name == "D4")
+    a = cd_construct(d4, validate_hyperset(d4, [[0, 1, 6], [0, 3, 7], [0, 6, 7]]))
+    b = cd_construct(d4, single_cayley_closure(d4, {0, 1, 7}))
+    assert hypergraph_isomorphic(a, b) == (0, 1, 2, 3, 5, 6, 7, 4)
+
+
 def test_dump_golden():
     z2 = make_cyclic(2)
     h = cd_construct(z2, validate_hyperset(z2, [[0, 1]]))
@@ -250,3 +261,28 @@ def test_dump_round_trips_and_is_stable(inst):
     text = dump_dihypergraph(h)
     assert load_dihypergraph(text) == h
     assert dump_dihypergraph(load_dihypergraph(text)) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_isomorphic_iff_brute_force_on_random_pairs(data):
+    n, arcs_a, text_a = data.draw(dihypergraph_texts())
+    _, arcs_b, text_b = data.draw(dihypergraph_texts(n=n))
+    a, b = load_dihypergraph(text_a), load_dihypergraph(text_b)
+    q = hypergraph_isomorphic(a, b)
+    assert (q is None) == (oracles.brute_hypergraph_isomorphism(n, arcs_a, arcs_b) is None)
+    if q is not None:
+        assert relabel(a, q) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=dihypergraph_texts(), data=st.data())
+def test_isomorphic_finds_relabelled_random_copies(drawn, data):
+    n, arcs, text = drawn
+    h = load_dihypergraph(text)
+    p = tuple(data.draw(st.permutations(range(n))))
+    other = relabel(h, p)
+    q = hypergraph_isomorphic(h, other)
+    assert q is not None
+    assert relabel(h, q) == other
+    assert oracles.brute_hypergraph_isomorphism(n, arcs, other.arcs) is not None

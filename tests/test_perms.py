@@ -2,6 +2,7 @@
 regular subgroups, recovery, normalizers, and the factorization report."""
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from cdhg import (
@@ -11,10 +12,12 @@ from cdhg import (
     aut_hypergraph,
     cd_construct,
     census_corpus,
+    census_hypersets,
     dump_permgroup,
     find_regular_subgroups,
     hypergraph_isomorphic,
     is_regular,
+    load_dihypergraph,
     make_cyclic,
     make_dihedral,
     normalizer,
@@ -23,6 +26,7 @@ from cdhg import (
     validate_hyperset,
     verify_theorem2,
 )
+from conftest import dihypergraph_texts
 
 CORPUS8 = census_corpus(8)
 
@@ -123,6 +127,48 @@ def test_aut_cutoff_is_adjustable():
     z13 = make_cyclic(13)
     h = cd_construct(z13, validate_hyperset(z13, [[0, 1]]))
     assert aut_hypergraph(h, cutoff=13).order == 13
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=dihypergraph_texts())
+def test_aut_matches_brute_force_on_random_dihypergraphs(drawn):
+    # arcs may leave their vertex outside the edge, be absent, or break
+    # transitivity; the input is read back through the parser
+    n, arcs, text = drawn
+    aut = aut_hypergraph(load_dihypergraph(text))
+    assert {p.images for p in aut.perms} == set(oracles.brute_hypergraph_automorphisms(n, arcs))
+
+
+def test_aut_matches_brute_force_on_census_arc_sets():
+    # every distinct arc set among the instances of run_census(6, 3)
+    seen = {}
+    for g in census_corpus(6):
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            seen.setdefault(h.arcs, h)
+    assert len(seen) == 35
+    for h in seen.values():
+        assert {p.images for p in aut_hypergraph(h).perms} == set(
+            oracles.brute_hypergraph_automorphisms(h.vertex_count, h.arcs)
+        )
+
+
+@pytest.mark.parametrize("g", [g for g in CORPUS8 if g.order == 8], ids=lambda g: g.name)
+def test_aut_of_loops_on_order_8_is_symmetric(g):
+    aut = aut_hypergraph(cd_construct(g, validate_hyperset(g, [[0]])))
+    assert aut.order == 40320
+    assert right_regular(g).perms <= aut.perms
+
+
+def test_aut_rejects_a_wrong_stabiliser_chain(monkeypatch):
+    # a search that answers every prefix with one transposition gives
+    # transversals whose products repeat
+    import cdhg.perms
+    from cdhg import Dihypergraph
+
+    monkeypatch.setattr(cdhg.perms, "_completion_search", lambda a, b: lambda prefix: (1, 0, 2))
+    with pytest.raises(RuntimeError, match="distinct products"):
+        aut_hypergraph(Dihypergraph(vertex_count=3, arcs=frozenset()))
 
 
 def test_find_regular_subgroups_contains_translations(fano_group, fano_cd):
