@@ -42,7 +42,6 @@ from .hypergraphs import (
     underlying,
 )
 from .perms import (
-    AUT_VERTEX_CUTOFF,
     Permutation,
     aut_hypergraph,
     find_regular_subgroups,
@@ -64,11 +63,6 @@ __all__ = [
 # Hard caps on the requested bounds; the defaults sit well inside them.
 CENSUS_MAX_ORDER_CAP = 10
 CENSUS_MAX_MEMBER_CAP = 4
-
-# The regular-subgroup hunt is skipped (and reported as skipped) when the
-# ambient automorphism group is larger than this; no instance of order <= 8
-# reaches it.
-REGULAR_SEARCH_AUT_CAP = 50000
 
 CHECK_NAMES = (
     "arc_count",
@@ -124,7 +118,7 @@ class CensusResult:
     """foreign_presentations: one (instance, profiles) entry, in census
     order, per surveyed instance that is also Cayley over a group of
     another element-order profile, each profile written like '1-2-4-4'.
-    Instances whose regular-subgroup search is skipped are not surveyed."""
+    Instances whose automorphism group is refused are not surveyed."""
 
     max_order: int
     max_member_size: int
@@ -192,22 +186,19 @@ def _perm_image_arcs(perm: Permutation, arcs):
     return {(im[v], tuple(sorted(im[u] for u in e))) for v, e in arcs}
 
 
-def _heavy_layers(h: Dihypergraph, aut_cutoff: int):
-    """Aut(h), or None over the cutoff; the first element of Aut(h) that
-    moves an arc off the arc set, or None when every element keeps it; and
-    one (perms, round trips, order profile) triple per regular subgroup of
-    Aut(h), or None when the search is over its cap.  All of it depends on
-    the arcs alone."""
+def _heavy_layers(h: Dihypergraph):
+    """Aut(h), or None when it is refused; the first element of Aut(h)
+    that moves an arc off the arc set, or None when every element keeps
+    it; and one (perms, round trips, order profile) triple per regular
+    subgroup of Aut(h).  All of it depends on the arcs alone."""
     try:
-        aut_h = aut_hypergraph(h, cutoff=aut_cutoff)
+        aut_h = aut_hypergraph(h)
     except CutoffExceeded:
         return None, None, None
     arc_set = set(h.arcs)
     bad = next(
         (p for p in aut_h.perms if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
-    if aut_h.order > REGULAR_SEARCH_AUT_CAP:
-        return aut_h, bad, None
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
         rec = regular_to_cayley(h, r)
@@ -219,11 +210,7 @@ def _heavy_layers(h: Dihypergraph, aut_cutoff: int):
     return aut_h, bad, regs
 
 
-def run_census(
-    max_order: int = 8,
-    max_member_size: int = 3,
-    aut_cutoff: int = AUT_VERTEX_CUTOFF,
-) -> CensusResult:
+def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
     if not (1 <= max_order <= CENSUS_MAX_ORDER_CAP):
         raise ValueError(
             f"max_order must be between 1 and {CENSUS_MAX_ORDER_CAP}, got {max_order}"
@@ -310,9 +297,11 @@ def run_census(
                 )
 
             if h.arcs not in by_arcs:
-                by_arcs[h.arcs] = _heavy_layers(h, aut_cutoff)
+                by_arcs[h.arcs] = _heavy_layers(h)
             aut_h, bad, regs = by_arcs[h.arcs]
             if aut_h is None:
+                # orders up to CENSUS_MAX_ORDER_CAP stay under the vertex
+                # cutoff, so only the order cap refuses here
                 for name in (
                     "right_regular_in_aut",
                     "aut_preserves_arcs",
@@ -320,7 +309,7 @@ def run_census(
                     "normalizer_factorization",
                     "aut_intersection",
                 ):
-                    tallies[name].skip("aut over cutoff")
+                    tallies[name].skip("aut order over cap")
             else:
                 tallies["right_regular_in_aut"].ok(
                     tag,
@@ -332,29 +321,26 @@ def run_census(
                     tag, bad is None, f"permutation {bad and bad.images} breaks an arc"
                 )
 
-                if regs is not None:
-                    regs_ok = any(perms == g_r.perms for perms, _, _ in regs)
-                    profiles = set()
-                    for perms, round_trips, profile in regs:
-                        if perms == g_r.perms:
-                            continue
-                        if round_trips:
-                            nontrivial_round_trips += 1
-                        else:
-                            regs_ok = False
-                        profiles.add(profile)
-                    profiles.discard(source_profile)
-                    if profiles:
-                        foreign_presentations.append(
-                            (tag, tuple("-".join(map(str, p)) for p in sorted(profiles)))
-                        )
-                    tallies["regular_subgroups"].ok(
-                        tag,
-                        regs_ok,
-                        "right translations missing or a recovered instance disagrees",
+                regs_ok = any(perms == g_r.perms for perms, _, _ in regs)
+                profiles = set()
+                for perms, round_trips, profile in regs:
+                    if perms == g_r.perms:
+                        continue
+                    if round_trips:
+                        nontrivial_round_trips += 1
+                    else:
+                        regs_ok = False
+                    profiles.add(profile)
+                profiles.discard(source_profile)
+                if profiles:
+                    foreign_presentations.append(
+                        (tag, tuple("-".join(map(str, p)) for p in sorted(profiles)))
                     )
-                else:
-                    tallies["regular_subgroups"].skip("aut order over regular-search cap")
+                tallies["regular_subgroups"].ok(
+                    tag,
+                    regs_ok,
+                    "right translations missing or a recovered instance disagrees",
+                )
 
                 report = verify_theorem2(g, x, aut=aut_h)
                 tallies["normalizer_factorization"].ok(

@@ -11,7 +11,7 @@ from typing import Optional
 from .groups import CutoffExceeded, FiniteGroup, load_group
 from .hypersets import CayleyHyperset, aut_g_x, is_cayley_closed, load_hyperset
 from .hypergraphs import cd_construct, dump_dihypergraph, is_connected, is_undirected, uniformity
-from .perms import AUT_VERTEX_CUTOFF, aut_hypergraph, verify_theorem2
+from .perms import aut_hypergraph, verify_theorem2
 from .census import run_census
 
 __all__ = ["AnalysisReport", "build_analysis_report", "main"]
@@ -28,10 +28,7 @@ class AnalysisReport:
 
 
 def build_analysis_report(
-    g: FiniteGroup,
-    x: CayleyHyperset,
-    with_aut: bool = True,
-    aut_cutoff: int = AUT_VERTEX_CUTOFF,
+    g: FiniteGroup, x: CayleyHyperset, with_aut: bool = True
 ) -> AnalysisReport:
     h = cd_construct(g, x)
     u = uniformity(h)
@@ -57,7 +54,7 @@ def build_analysis_report(
     reason = "--no-aut"
     if with_aut:
         try:
-            aut = aut_hypergraph(h, cutoff=aut_cutoff)
+            aut = aut_hypergraph(h)
             aut_h = str(aut.order)
             report = verify_theorem2(g, x, aut=aut)
         except CutoffExceeded as exc:
@@ -118,13 +115,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_analyze.add_argument("--group", required=True, help="group file")
     p_analyze.add_argument("--hyperset", required=True, help="hyperset file")
     p_analyze.add_argument("--no-aut", action="store_true", help="skip automorphism-dependent fields")
-    p_analyze.add_argument("--aut-cutoff", type=int, default=AUT_VERTEX_CUTOFF, help="vertex cutoff for the automorphism search")
     p_analyze.add_argument("--out", help="write the report here instead of stdout")
 
     p_census = sub.add_parser("census", help="run the verification sweep over small groups")
     p_census.add_argument("--max-order", type=int, default=8, help="largest group order")
     p_census.add_argument("--max-member-size", type=int, default=3, help="largest seed subset size")
-    p_census.add_argument("--aut-cutoff", type=int, default=AUT_VERTEX_CUTOFF, help="vertex cutoff for the automorphism search")
     p_census.add_argument("--out", help="write the report here instead of stdout")
 
     args = parser.parse_args(argv)
@@ -135,16 +130,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         if args.command == "analyze":
             g, x = _load_pair(args.group, args.hyperset)
-            report = build_analysis_report(
-                g, x, with_aut=not args.no_aut, aut_cutoff=args.aut_cutoff
-            )
+            report = build_analysis_report(g, x, with_aut=not args.no_aut)
             _emit(report.render(), args.out)
             return 0
-        result = run_census(
-            max_order=args.max_order,
-            max_member_size=args.max_member_size,
-            aut_cutoff=args.aut_cutoff,
-        )
+        result = run_census(max_order=args.max_order, max_member_size=args.max_member_size)
         _emit(result.render(), args.out)
         return 0 if result.all_pass else 1
     except (OSError, ValueError) as exc:

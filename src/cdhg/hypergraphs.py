@@ -15,7 +15,7 @@ from .groups import CutoffExceeded, FiniteGroup
 from .hypersets import CayleyHyperset, are_cayley_equivalent, right_translate
 
 __all__ = [
-    "ISO_VERTEX_CUTOFF",
+    "AUT_VERTEX_CUTOFF",
     "Arc",
     "Dihypergraph",
     "UndirectedHypergraph",
@@ -33,9 +33,9 @@ __all__ = [
 
 Arc = tuple[int, tuple[int, ...]]
 
-# Backtracking isomorphism and automorphism search is refused above this
-# vertex count.
-ISO_VERTEX_CUTOFF = 20
+# The backtracking search behind the isomorphism test and the
+# automorphism search refuses more vertices than this.
+AUT_VERTEX_CUTOFF = 12
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,8 @@ def _completion_search(
         return lambda prefix: None
     if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
         return lambda prefix: None
-    if n > ISO_VERTEX_CUTOFF:
-        raise CutoffExceeded(
-            f"vertex count {n} exceeds the isomorphism search cutoff {ISO_VERTEX_CUTOFF}"
-        )
+    if n > AUT_VERTEX_CUTOFF:
+        raise CutoffExceeded(f"over cutoff ({n} > {AUT_VERTEX_CUTOFF})")
     sig_a = _vertex_signatures(a)
     sig_b = _vertex_signatures(b)
     if sorted(sig_a) != sorted(sig_b):
@@ -236,7 +234,8 @@ def _completion_search(
 def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[int, ...]]:
     """A vertex bijection carrying the arcs of a onto the arcs of b, as an
     image tuple, or None: the first completion of the empty prefix.  Size
-    mismatches short-circuit to None."""
+    mismatches short-circuit to None; equal sizes over AUT_VERTEX_CUTOFF
+    vertices are refused as 'over cutoff (n > AUT_VERTEX_CUTOFF)'."""
     return _completion_search(a, b)(())
 
 

@@ -13,10 +13,10 @@ from typing import Iterable, Iterator, Optional
 
 from .groups import CutoffExceeded, FiniteGroup, generating_set
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
-from .hypergraphs import ISO_VERTEX_CUTOFF, Dihypergraph, _completion_search, cd_construct
+from .hypergraphs import Dihypergraph, _completion_search, cd_construct
 
 __all__ = [
-    "AUT_VERTEX_CUTOFF",
+    "AUT_ORDER_CAP",
     "Permutation",
     "PermGroup",
     "CayleyRecovery",
@@ -31,9 +31,9 @@ __all__ = [
     "dump_permgroup",
 ]
 
-# aut_hypergraph refuses dihypergraphs with more vertices than this by
-# default; the census, the analysis report and the CLI share it.
-AUT_VERTEX_CUTOFF = 12
+# aut_hypergraph refuses a group of larger order before listing any
+# element; S8 (40,320) is the largest Aut in the census below it.
+AUT_ORDER_CAP = 50000
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,10 @@ def _products(
         yield from map(itemgetter(*s), reps)
 
 
-def aut_hypergraph(h: Dihypergraph, cutoff: int = AUT_VERTEX_CUTOFF) -> PermGroup:
+def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     """Every vertex permutation preserving the arc set.  Refused as
-    'over cutoff (n > limit)' above the lower of cutoff and
-    ISO_VERTEX_CUTOFF.
+    'over cutoff (n > AUT_VERTEX_CUTOFF)' by the completion search, and as
+    'aut order N over cap AUT_ORDER_CAP' before any element is listed.
 
     The group is found as a chain of pointwise stabilisers: G^(k) holds
     the automorphisms fixing each of 0..k-1.  For each image w != k of k,
@@ -145,29 +145,29 @@ def aut_hypergraph(h: Dihypergraph, cutoff: int = AUT_VERTEX_CUTOFF) -> PermGrou
     k to w; with the identity for w = k these form a transversal T_k of
     G^(k+1) in G^(k).  Every element of G^(k) is then s then r for one
     s in G^(k+1) and one r in T_k, and these products are distinct, so
-    the group is rebuilt level by level from the transversals, with
-    |Aut| = prod |T_k| and no arc check on the products.  The isomorphism
-    test shares the search (hypergraph_isomorphic).
+    |Aut| = prod |T_k| is known from the transversals alone, and the
+    group is rebuilt level by level from them with no arc check on the
+    products.  The isomorphism test shares the search
+    (hypergraph_isomorphic).
     """
     n = h.vertex_count
-    limit = min(cutoff, ISO_VERTEX_CUTOFF)
-    if n > limit:
-        raise CutoffExceeded(f"over cutoff ({n} > {limit})")
     first = _completion_search(h, h)
     identity = tuple(range(n))
     transversals = []
     for k in range(n):
         found = (first((*range(k), w)) for w in range(k + 1, n))
         transversals.append([identity, *(m for m in found if m is not None)])
+    order = math.prod(len(reps) for reps in transversals)
+    if order > AUT_ORDER_CAP:
+        raise CutoffExceeded(f"aut order {order} over cap {AUT_ORDER_CAP}")
     group: Iterable[tuple[int, ...]] = [identity]
     for reps in reversed(transversals):
         if len(reps) > 1:
             group = _products(group, reps)
     perms = frozenset(map(Permutation, group))
-    expected = math.prod(len(reps) for reps in transversals)
-    if len(perms) != expected:
+    if len(perms) != order:
         raise RuntimeError(
-            f"stabiliser chain gives {len(perms)} distinct products, expected {expected}"
+            f"stabiliser chain gives {len(perms)} distinct products, expected {order}"
         )
     return PermGroup(degree=n, perms=perms)
 

@@ -119,6 +119,26 @@ def test_full_census_foreign_presentations(full_census):
     )
 
 
+def test_run_census_refuses_aut_over_order_cap():
+    # X = {{0}} over the five groups of order 9 and 10 gives Aut = S9 or
+    # S10, refused by its order before it is enumerated
+    result = run_census(max_order=10, max_member_size=1)
+    assert result.instance_count == 21
+    tallies = result.tallies
+    assert tallies["cayley_round_trip"].line() == "check cayley_round_trip: 21 pass, 0 fail"
+    for name in (
+        "right_regular_in_aut",
+        "aut_preserves_arcs",
+        "regular_subgroups",
+        "normalizer_factorization",
+        "aut_intersection",
+    ):
+        assert tallies[name].line() == (
+            f"check {name}: 16 pass, 0 fail, 5 skipped: aut order over cap"
+        )
+    assert result.render().endswith("result: PASS\n")
+
+
 def test_check_tally_renders_each_skip_reason_once():
     tally = CheckTally("regular_subgroups")
     for reason in ("aut over cutoff", "aut order over regular-search cap", "aut over cutoff"):

@@ -113,24 +113,9 @@ def test_analyze_no_aut(capsys):
     assert "arcs: 21" in lines
 
 
-def test_analyze_cutoff_marker(capsys):
-    rc, out, _ = run(
-        capsys,
-        "analyze",
-        "--group", str(DATA / "z7.group"),
-        "--hyperset", str(DATA / "fano.hyperset"),
-        "--aut-cutoff", "3",
-    )
-    assert rc == 0
-    lines = out.splitlines()
-    assert "aut_h: skipped: over cutoff (7 > 3)" in lines
-    # the group-side search has its own, much higher, cutoff
-    assert "aut_g_x: 3" in lines
-
-
 def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
-    # a cutoff above the backtracking search's own limit of 20 vertices
-    # is refused at 20, and the line says so
+    # the backtracking search refuses more than 12 vertices, and the line
+    # says so; the group-side search has its own, much higher, cutoff
     group_file = tmp_path / "z21.group"
     group_file.write_text(serialize_group(make_cyclic(21)))
     hyperset_file = tmp_path / "step.hyperset"
@@ -140,12 +125,11 @@ def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
         "analyze",
         "--group", str(group_file),
         "--hyperset", str(hyperset_file),
-        "--aut-cutoff", "30",
     )
     assert rc == 0
     lines = out.splitlines()
-    assert "aut_h: skipped: over cutoff (21 > 20)" in lines
-    assert "normalizer: skipped: over cutoff (21 > 20)" in lines
+    assert "aut_h: skipped: over cutoff (21 > 12)" in lines
+    assert "normalizer: skipped: over cutoff (21 > 12)" in lines
     assert "aut_g_x: 1" in lines
 
 

@@ -121,12 +121,29 @@ def test_aut_refuses_over_cutoff():
         aut_hypergraph(h)
 
 
-def test_aut_cutoff_is_adjustable():
-    # 13-vertex directed cycle: an automorphism must send each vertex's
-    # arc edge {v, v+1} to {p(v), p(v)+1}, so only the 13 rotations remain
+def test_aut_refuses_large_order_before_enumerating(monkeypatch):
+    # the loops X = {{0}} give Aut = S_n, whose order the stabiliser chain
+    # knows before a single product is made
+    import cdhg.perms
+
+    def no_products(*args):
+        raise AssertionError("Aut was enumerated")
+
+    monkeypatch.setattr(cdhg.perms, "_products", no_products)
+    for n, order in ((9, 362880), (12, 479001600)):
+        zn = make_cyclic(n)
+        h = cd_construct(zn, validate_hyperset(zn, [[0]]))
+        with pytest.raises(CutoffExceeded, match=rf"aut order {order} over cap 50000"):
+            aut_hypergraph(h)
+
+
+def test_isomorphism_refuses_over_cutoff():
+    # sizes agree, so the search itself is reached and refuses
     z13 = make_cyclic(13)
-    h = cd_construct(z13, validate_hyperset(z13, [[0, 1]]))
-    assert aut_hypergraph(h, cutoff=13).order == 13
+    a = cd_construct(z13, validate_hyperset(z13, [[0, 1]]))
+    b = cd_construct(z13, validate_hyperset(z13, [[0, 2]]))
+    with pytest.raises(CutoffExceeded, match=r"over cutoff \(13 > 12\)"):
+        hypergraph_isomorphic(a, b)
 
 
 @settings(max_examples=150, deadline=None)
