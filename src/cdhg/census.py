@@ -43,6 +43,7 @@ from .hypergraphs import (
 )
 from .perms import (
     Permutation,
+    _recover,
     aut_hypergraph,
     find_regular_subgroups,
     regular_to_cayley,
@@ -199,9 +200,12 @@ def _heavy_layers(h: Dihypergraph):
     bad = next(
         (p for p in aut_h.perms if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
+    # when every element of Aut(h) keeps the arcs, so does every subgroup,
+    # and the recovery need not check them again
+    recover = regular_to_cayley if bad is not None else _recover
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
-        rec = regular_to_cayley(h, r)
+        rec = recover(h, r)
         regs.append((
             r.perms,
             cd_construct(rec.group, rec.hyperset) == h,

@@ -52,6 +52,22 @@ def brute_group_automorphisms(table):
     return found
 
 
+def brute_is_group(table):
+    """True when 0 is a two-sided identity, every triple associates and
+    every element has a two-sided inverse, each checked by full scan."""
+    n = len(table)
+    if any(table[0][i] != i or table[i][0] != i for i in range(n)):
+        return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return False
+    return all(
+        any(table[i][j] == 0 and table[j][i] == 0 for j in range(n)) for i in range(n)
+    )
+
+
 def brute_center(table):
     """Elements commuting with every element."""
     n = len(table)

@@ -1,7 +1,11 @@
 """Command line front end: build, analyze, census, error handling."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import cdhg
 from cdhg import make_cyclic, serialize_group
 from cdhg.cli import main
 
@@ -198,3 +202,17 @@ def test_invalid_group_file_exits_2(capsys, tmp_path):
     rc, out, err = run(capsys, "analyze", "--group", str(bad), "--hyperset", str(DATA / "fano.hyperset"))
     assert rc == 2
     assert "no inverse" in err
+
+
+def test_python_m_cdhg_runs_without_warnings():
+    # the directory that holds the imported package, so the child runs it
+    src = str(Path(cdhg.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdhg", "census", "--max-order", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "result: PASS" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

@@ -1,5 +1,7 @@
 """Group construction, validation, subgroups, and automorphisms."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,30 @@ LOOP5_TABLE = [
 
 CORPUS8 = census_corpus(8)
 CORPUS12 = census_corpus(12)
+CORPUS6 = [g for g in CORPUS8 if g.order <= 6]
+
+
+@st.composite
+def bordered_tables(draw):
+    """Identity-bordered tables of order n <= 6: either a random interior,
+    or a corpus group relabelled by a permutation fixing 0 with up to two
+    interior entries redrawn, so groups and near-groups both occur."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(CORPUS6))
+        n = g.order
+        p = [0, *draw(st.permutations(range(1, n)))]
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[p[i]][p[j]] = p[g.table[i][j]]
+        if n > 1:
+            for _ in range(draw(st.integers(0, 2))):
+                i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+                table[i][j] = draw(st.integers(0, n - 1))
+        return table
+    n = draw(st.integers(1, 6))
+    inner = st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1)
+    return [list(range(n))] + [[i, *draw(inner)] for i in range(1, n)]
 
 
 def is_abelian(g):
@@ -116,6 +142,57 @@ def test_from_table_rejects_missing_inverse():
 def test_from_table_rejects_nonassociative_latin_square():
     with pytest.raises(ValueError, match=r"associativity fails at \(1,1,2\)"):
         FiniteGroup.from_table("loop", LOOP5_TABLE)
+
+
+def assert_validates_like_oracle(table):
+    """from_table accepts exactly the groups, and a named associativity
+    failure is a real one."""
+    want = oracles.brute_is_group(table)
+    try:
+        g = FiniteGroup.from_table("t", table)
+    except ValueError as exc:
+        assert not want, str(exc)
+        named = re.match(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
+        if named:
+            x, a, y = map(int, named.groups())
+            assert table[table[x][a]][y] != table[x][table[a][y]]
+    else:
+        assert want
+        assert list(g.inverse) == oracles.table_inverses(table)
+    return want
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=bordered_tables())
+def test_from_table_accepts_exactly_the_groups(table):
+    assert_validates_like_oracle(table)
+
+
+def test_from_table_checks_generators_after_the_first():
+    # Z3 x Z2 with (q,b)(r,c) = (q+r, b+c+f(q,r)) at index 2q+b, over the
+    # 16 f: Z3 x Z3 -> Z2 vanishing on 0.  Element 1 = (0,1) associates
+    # in the middle for every f, so the first generator always passes and
+    # the 12 non-associative tables must be refused at a later one
+    refused = 0
+    for bits in range(16):
+        f = [[0, 0, 0], [0, bits & 1, bits >> 1 & 1], [0, bits >> 2 & 1, bits >> 3 & 1]]
+        table = [
+            [2 * ((q + r) % 3) + (b + c + f[q][r]) % 2 for r in range(3) for c in range(2)]
+            for q in range(3)
+            for b in range(2)
+        ]
+        refused += not assert_validates_like_oracle(table)
+    assert refused == 12
+
+
+def test_from_table_rejects_identity_adjoined_null_semigroup():
+    # associative, with every product of two non-identity elements equal
+    # to 1: the associativity test alone would check n-2 generators, so
+    # the inverse check must come first and refuse it
+    n = 256
+    table = [list(range(n))] + [[i] + [1] * (n - 1) for i in range(1, n)]
+    with pytest.raises(ValueError, match="no inverse for element 1"):
+        FiniteGroup.from_table("null", table)
 
 
 def test_from_table_rejects_ragged_rows():

@@ -222,10 +222,11 @@ def test_find_regular_subgroups_full_hyperset():
     assert len(kleins) == 1
 
 
-@pytest.mark.parametrize("n, expected", [(5, 6), (6, 80), (7, 120)])
+@pytest.mark.parametrize("n, expected", [(5, 6), (6, 80), (7, 120), (8, 2760)])
 def test_find_regular_subgroups_in_symmetric_group(n, expected):
     # sum over the groups G of order n of (n-1)!/|Aut(G)|: Z5 (|Aut| 4),
-    # Z6 (2) and S3 (6), Z7 (6)
+    # Z6 (2) and S3 (6), Z7 (6); for n = 8, 7!/|Aut(G)| over Z8 (4),
+    # Z2xZ4 (8), Z2^3 (168), D4 (8) and Q8 (24)
     regs = find_regular_subgroups(symmetric(n), n)
     assert len(regs) == expected
     assert all(is_regular(r, n) for r in regs)
