@@ -200,12 +200,11 @@ def _heavy_layers(h: Dihypergraph):
     bad = next(
         (p for p in aut_h.perms if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
-    # when every element of Aut(h) keeps the arcs, so does every subgroup,
-    # and the recovery need not check them again
-    recover = regular_to_cayley if bad is not None else _recover
+    # a broken Aut shows as bad and as a failed round trip, so the
+    # recovery does not check the arcs again
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
-        rec = recover(h, r)
+        rec = _recover(h, r)
         regs.append((
             r.perms,
             cd_construct(rec.group, rec.hyperset) == h,

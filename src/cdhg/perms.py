@@ -294,27 +294,23 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     group table, and the arcs leaving vertex 0 give one member per
     arc orbit.  cd_construct on the result reproduces h arc for arc.
     """
-    _require_regular(h, r)
-    arcs = {(v, frozenset(e)) for v, e in h.arcs}
-    for perm in r.perms:
-        im = perm.images
-        for v, e in h.arcs:
-            if (im[v], frozenset(im[u] for u in e)) not in arcs:
-                raise ValueError("the given permutations do not preserve the arcs of h")
-    return _recover(h, r)
+    return _recover(h, r, check_arcs=True)
 
 
-def _require_regular(h: Dihypergraph, r: PermGroup) -> None:
+def _recover(h: Dihypergraph, r: PermGroup, check_arcs: bool = False) -> CayleyRecovery:
+    """regular_to_cayley, checking that r preserves the arcs of h only when
+    check_arcs is set; the census passes subgroups of an Aut(h) whose
+    elements it has already checked against the arcs."""
     n = h.vertex_count
     if not is_regular(r, n):
         raise ValueError(f"subgroup of order {r.order} on degree {r.degree} is not regular on {n} vertices")
-
-
-def _recover(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
-    """regular_to_cayley without its arc check, for an r whose elements
-    are already known to preserve the arcs of h."""
-    _require_regular(h, r)
-    n = h.vertex_count
+    if check_arcs:
+        arcs = {(v, frozenset(e)) for v, e in h.arcs}
+        for perm in r.perms:
+            im = perm.images
+            for v, e in h.arcs:
+                if (im[v], frozenset(im[u] for u in e)) not in arcs:
+                    raise ValueError("the given permutations do not preserve the arcs of h")
     by_image = {perm.images[0]: perm for perm in r.perms}
     table = [[by_image[j].images[i] for j in range(n)] for i in range(n)]
     group = FiniteGroup.from_table(f"regular{n}", table)
