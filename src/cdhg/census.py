@@ -43,7 +43,6 @@ from .hypergraphs import (
 )
 from .perms import (
     Permutation,
-    _recover,
     aut_hypergraph,
     find_regular_subgroups,
     regular_to_cayley,
@@ -190,8 +189,9 @@ def _perm_image_arcs(perm: Permutation, arcs):
 def _heavy_layers(h: Dihypergraph):
     """Aut(h), or None when it is refused; the first element of Aut(h)
     that moves an arc off the arc set, or None when every element keeps
-    it; and one (perms, round trips, order profile) triple per regular
-    subgroup of Aut(h).  All of it depends on the arcs alone."""
+    it; and one (perms, order profile) pair per regular subgroup of
+    Aut(h), the profile None when its round trip fails.  All of it
+    depends on the arcs alone."""
     try:
         aut_h = aut_hypergraph(h)
     except CutoffExceeded:
@@ -200,16 +200,13 @@ def _heavy_layers(h: Dihypergraph):
     bad = next(
         (p for p in aut_h.perms if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
-    # a broken Aut shows as bad and as a failed round trip, so the
-    # recovery does not check the arcs again
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
-        rec = _recover(h, r)
-        regs.append((
-            r.perms,
-            cd_construct(rec.group, rec.hyperset) == h,
-            _order_profile(rec.group),
-        ))
+        try:
+            profile = _order_profile(regular_to_cayley(h, r).group)
+        except ValueError:
+            profile = None
+        regs.append((r.perms, profile))
     return aut_h, bad, regs
 
 
@@ -324,16 +321,16 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                     tag, bad is None, f"permutation {bad and bad.images} breaks an arc"
                 )
 
-                regs_ok = any(perms == g_r.perms for perms, _, _ in regs)
+                regs_ok = any(perms == g_r.perms for perms, _ in regs)
                 profiles = set()
-                for perms, round_trips, profile in regs:
+                for perms, profile in regs:
                     if perms == g_r.perms:
                         continue
-                    if round_trips:
-                        nontrivial_round_trips += 1
-                    else:
+                    if profile is None:
                         regs_ok = False
-                    profiles.add(profile)
+                    else:
+                        nontrivial_round_trips += 1
+                        profiles.add(profile)
                 profiles.discard(source_profile)
                 if profiles:
                     foreign_presentations.append(
@@ -368,13 +365,14 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                     f"outer={outer_match} inner={inner_match}",
                 )
 
-            rec = regular_to_cayley(h, g_r)
-            tallies["cayley_round_trip"].ok(
-                tag,
-                rec.group == g and rec.hyperset == x
-                and cd_construct(rec.group, rec.hyperset) == h,
-                "recovered pair differs from the source",
-            )
+            try:
+                rec = regular_to_cayley(h, g_r)
+            except ValueError as exc:
+                good, detail = False, str(exc)
+            else:
+                good = rec.group == g and rec.hyperset == x
+                detail = "recovered pair differs from the source"
+            tallies["cayley_round_trip"].ok(tag, good, detail)
 
     return CensusResult(
         max_order=max_order,

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "AUT_GROUP_ORDER_CUTOFF",
+    "AUT_ORDER_CAP",
     "CutoffExceeded",
     "FiniteGroup",
     "GroupAutomorphism",
@@ -33,6 +34,12 @@ __all__ = [
 
 # Full automorphism-group search is refused above this group order.
 AUT_GROUP_ORDER_CUTOFF = 40
+
+# No automorphism group of larger order is listed: perms.aut_hypergraph
+# refuses one before listing any element (S8, 40,320, is the largest Aut
+# in the census below it), and group_automorphisms when it finds the
+# automorphism after the cap (Z2^5 has 9,999,360).
+AUT_ORDER_CAP = 50000
 
 
 class CutoffExceeded(ValueError):
@@ -353,7 +360,8 @@ def _close_partial_map(
 
 
 def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
-    """All automorphisms of g, exact, refused above the order cutoff.
+    """All automorphisms of g, exact, refused above the order cutoff and
+    when more than AUT_ORDER_CAP are found.
 
     Search assigns images to a greedy generating set, pruned by element
     order, and propagates each partial assignment across the generated
@@ -382,6 +390,8 @@ def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
                 else:
                     # gens generate g, so the closure maps every element
                     found.append(GroupAutomorphism(tuple(mapping)))
+                    if len(found) > AUT_ORDER_CAP:
+                        raise CutoffExceeded(f"group automorphisms over cap {AUT_ORDER_CAP}")
             images.pop()
 
     descend(0, [])

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .groups import CutoffExceeded, FiniteGroup, generating_set
+from .groups import AUT_ORDER_CAP, CutoffExceeded, FiniteGroup, generating_set
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
 from .hypergraphs import Dihypergraph, _completion_search, cd_construct
 
 __all__ = [
-    "AUT_ORDER_CAP",
     "Permutation",
     "PermGroup",
     "CayleyRecovery",
@@ -30,11 +29,6 @@ __all__ = [
     "verify_theorem2",
     "dump_permgroup",
 ]
-
-# aut_hypergraph refuses a group of larger order before listing any
-# element; S8 (40,320) is the largest Aut in the census below it.
-AUT_ORDER_CAP = 50000
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -71,7 +65,9 @@ class PermGroup:
     """A fully enumerated permutation group on 0..degree-1.
 
     generators, when present, is a subset whose closure is the whole
-    group; it only shortens conjugation tests and is not load-bearing.
+    group.  normalizer tests conjugation on it instead of on every
+    element, which halves its compositions on the analyze inputs of the
+    benchmark; the results are the same without it.
     """
 
     degree: int
@@ -116,10 +112,11 @@ def _orbit_of(perms: Iterable[Permutation], start: int) -> set[int]:
 
 
 def is_regular(p: PermGroup, n: int) -> bool:
-    """Transitive of order exactly n on n points."""
-    if p.degree != n or p.order != n:
-        return False
-    return len(_orbit_of(p.perms, 0)) == n
+    """Sharply transitive on n points: degree n, order n, and n distinct
+    images of 0.  For a group that is the same as transitive of order n;
+    a set that is not a group can reach every point by closure without
+    holding one element per image of 0."""
+    return p.degree == n and p.order == n and len({q.images[0] for q in p.perms}) == n
 
 
 def _products(
@@ -289,28 +286,20 @@ class CayleyRecovery:
 def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     """Rebuild a group and hyperset from a regular subgroup of Aut(h).
 
-    Vertices are labeled by the unique permutation carrying the base
-    vertex 0 onto them; reading products off those labels gives the
-    group table, and the arcs leaving vertex 0 give one member per
-    arc orbit.  cd_construct on the result reproduces h arc for arc.
+    Vertices are labeled by the unique permutation p_j carrying the base
+    vertex 0 onto j; reading products off those labels,
+    table[i][j] = p_j(i), gives the group table, and the arcs leaving
+    vertex 0 give one member per arc orbit.
+
+    The rebuilt group's right translation by j sends i to i*j = p_j(i),
+    so its right translations are exactly r, and cd_construct of the
+    result is the r-orbit of the arcs at 0.  That equals h exactly when
+    r preserves the arcs of h, so the final comparison is the whole arc
+    check and no other is made.
     """
-    return _recover(h, r, check_arcs=True)
-
-
-def _recover(h: Dihypergraph, r: PermGroup, check_arcs: bool = False) -> CayleyRecovery:
-    """regular_to_cayley, checking that r preserves the arcs of h only when
-    check_arcs is set; the census passes subgroups of an Aut(h) whose
-    elements it has already checked against the arcs."""
     n = h.vertex_count
     if not is_regular(r, n):
         raise ValueError(f"subgroup of order {r.order} on degree {r.degree} is not regular on {n} vertices")
-    if check_arcs:
-        arcs = {(v, frozenset(e)) for v, e in h.arcs}
-        for perm in r.perms:
-            im = perm.images
-            for v, e in h.arcs:
-                if (im[v], frozenset(im[u] for u in e)) not in arcs:
-                    raise ValueError("the given permutations do not preserve the arcs of h")
     by_image = {perm.images[0]: perm for perm in r.perms}
     table = [[by_image[j].images[i] for j in range(n)] for i in range(n)]
     group = FiniteGroup.from_table(f"regular{n}", table)
@@ -321,6 +310,8 @@ def _recover(h: Dihypergraph, r: PermGroup, check_arcs: bool = False) -> CayleyR
                 raise ValueError(f"arc at the base vertex has edge {e} missing the vertex itself")
             members.append(e)
     hyperset = validate_hyperset(group, members)
+    if cd_construct(group, hyperset) != h:
+        raise ValueError("the given permutations do not preserve the arcs of h")
     return CayleyRecovery(group=group, hyperset=hyperset)
 
 

@@ -28,6 +28,16 @@ def brute_hypergraph_automorphisms(n, arcs):
     return found
 
 
+def preserves_arcs(images, arcs):
+    """True when every permutation, given by its image tuple, maps the
+    arc set onto itself."""
+    target = arc_set(arcs)
+    return all(
+        frozenset((p[v], tuple(sorted(p[w] for w in e))) for v, e in target) == target
+        for p in images
+    )
+
+
 def brute_hypergraph_isomorphism(n, arcs_a, arcs_b):
     """First permutation carrying arcs_a onto arcs_b, or None."""
     a = arc_set(arcs_a)

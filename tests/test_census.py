@@ -105,6 +105,26 @@ def test_run_census_searches_each_arc_set_once(monkeypatch):
     assert text.endswith("result: PASS\n")
 
 
+def test_run_census_tallies_a_failed_recovery(monkeypatch):
+    # both the translations' round trip and every other regular
+    # subgroup's are tallied as failures instead of raising
+    import cdhg.census
+
+    def refuse(h, r):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cdhg.census, "regular_to_cayley", refuse)
+    result = run_census(max_order=4, max_member_size=2)
+    tallies = result.tallies
+    assert tallies["cayley_round_trip"].failed == result.instance_count
+    assert tallies["cayley_round_trip"].failures[0] == "cayley_round_trip: Z1 X=[(0,)]: refused"
+    assert tallies["regular_subgroups"].failed > 0
+    assert result.nontrivial_regular_round_trips == 0
+    # a failed recovery adds no order profile
+    assert result.foreign_presentations == ()
+    assert result.render().endswith("result: FAIL\n")
+
+
 def test_full_census_foreign_presentations(full_census):
     census, _ = full_census
     foreign = dict(census.foreign_presentations)

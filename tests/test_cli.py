@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import cdhg
-from cdhg import make_cyclic, serialize_group
+from cdhg import direct_product, make_cyclic, serialize_group
 from cdhg.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -135,6 +135,22 @@ def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
     assert "aut_h: skipped: over cutoff (21 > 12)" in lines
     assert "normalizer: skipped: over cutoff (21 > 12)" in lines
     assert "aut_g_x: 1" in lines
+
+
+def test_analyze_refuses_group_automorphisms_over_cap(capsys, tmp_path):
+    # Z2^5 is under the group order cutoff, but its 9,999,360
+    # automorphisms are refused as the count passes the cap
+    z2 = make_cyclic(2)
+    g = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
+    group_file = tmp_path / "z2_5.group"
+    group_file.write_text(serialize_group(g))
+    hyperset_file = tmp_path / "step.hyperset"
+    hyperset_file.write_text("0 1\n")
+    rc, out, _ = run(capsys, "analyze", "--group", str(group_file), "--hyperset", str(hyperset_file))
+    assert rc == 0
+    lines = out.splitlines()
+    assert "aut_h: skipped: over cutoff (32 > 12)" in lines
+    assert "aut_g_x: skipped: group automorphisms over cap 50000" in lines
 
 
 def test_analyze_is_deterministic(capsys):

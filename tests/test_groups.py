@@ -315,6 +315,13 @@ def test_group_automorphisms_refuses_large_orders():
         group_automorphisms(make_cyclic(AUT_GROUP_ORDER_CUTOFF + 1))
 
 
+def test_group_automorphisms_of_z2_4_stay_under_the_count_cap():
+    z2 = make_cyclic(2)
+    g = direct_product(direct_product(direct_product(z2, z2), z2), z2)
+    # |GL(4,2)|
+    assert len(group_automorphisms(g)) == 20160
+
+
 def test_inner_automorphisms_abelian_trivial():
     assert len(inner_automorphisms(make_cyclic(7))) == 1
     assert len(inner_automorphisms(direct_product(make_cyclic(2), make_cyclic(3)))) == 1

@@ -1,18 +1,22 @@
 """Vertex permutations: regular representations, automorphism search,
 regular subgroups, recovery, normalizers, and the factorization report."""
 
+from functools import lru_cache
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cdhg import (
     CutoffExceeded,
+    Dihypergraph,
     PermGroup,
     Permutation,
     aut_hypergraph,
     cd_construct,
     census_corpus,
     census_hypersets,
+    direct_product,
     dump_permgroup,
     find_regular_subgroups,
     hypergraph_isomorphic,
@@ -39,6 +43,12 @@ def closure(n, *gens):
 def symmetric(n):
     """The full symmetric group on n points, from a transposition and an n-cycle."""
     return closure(n, (1, 0, *range(2, n)), (*range(1, n), 0))
+
+
+@lru_cache(maxsize=None)
+def regular_in_symmetric(n):
+    """Every regular subgroup of S_n, for n >= 1."""
+    return find_regular_subgroups(symmetric(n) if n > 1 else closure(1), n)
 
 
 def test_composition_is_left_to_right():
@@ -256,6 +266,47 @@ def test_round_trip_with_foreign_regular_subgroup():
 def test_regular_to_cayley_rejects_irregular(fano_cd):
     with pytest.raises(ValueError):
         regular_to_cayley(fano_cd, closure(3, (1, 0, 2), (1, 2, 0)))
+
+
+def test_regular_to_cayley_rejects_a_transitive_set_that_is_not_a_group():
+    # its closure reaches every point, but two of its elements fix 0
+    z3 = make_cyclic(3)
+    h = cd_construct(z3, validate_hyperset(z3, [[0]]))
+    r = PermGroup(3, frozenset(Permutation(p) for p in ((0, 1, 2), (1, 0, 2), (0, 2, 1))))
+    assert not is_regular(r, 3)
+    with pytest.raises(ValueError, match="not regular"):
+        regular_to_cayley(h, r)
+
+
+def test_regular_to_cayley_rejects_translations_that_move_an_arc():
+    z4 = make_cyclic(4)
+    h = cd_construct(z4, validate_hyperset(z4, [[0, 1]]))
+    klein = right_regular(direct_product(make_cyclic(2), make_cyclic(2)))
+    with pytest.raises(ValueError, match="do not preserve the arcs"):
+        regular_to_cayley(h, klein)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_regular_to_cayley_succeeds_exactly_when_the_arcs_are_preserved(data):
+    n = data.draw(st.integers(1, 5))
+    _, arcs, _ = data.draw(dihypergraph_texts(n))
+    r = data.draw(st.sampled_from(regular_in_symmetric(n)))
+    images = [p.images for p in r.perms]
+    # put each vertex into its edge, and take the orbit of the arcs under
+    # r, each half of the time, so that both outcomes are drawn often
+    if data.draw(st.booleans()):
+        arcs = [(v, [v, *(u for u in e if u != v)]) for v, e in arcs]
+    if data.draw(st.booleans()):
+        arcs = [(p[v], [p[u] for u in e]) for p in images for v, e in arcs]
+    h = Dihypergraph(vertex_count=n, arcs=oracles.arc_set(arcs))
+    if oracles.preserves_arcs(images, arcs) and all(v in e for v, e in arcs):
+        rec = regular_to_cayley(h, r)
+        assert cd_construct(rec.group, rec.hyperset) == h
+        assert right_regular(rec.group).perms == r.perms
+    else:
+        with pytest.raises(ValueError):
+            regular_to_cayley(h, r)
 
 
 def test_normalizer_of_self():
