@@ -6,6 +6,8 @@ for them (connectivity, undirectedness, translate closure), and recovers
 group presentations from regular automorphism subgroups.
 """
 
+import importlib
+
 from .groups import (
     AUT_GROUP_ORDER_CUTOFF,
     AUT_ORDER_CAP,
@@ -14,7 +16,6 @@ from .groups import (
     GroupAutomorphism,
     direct_product,
     element_order,
-    generating_set,
     group_automorphisms,
     inner_automorphisms,
     is_subgroup,
@@ -69,7 +70,17 @@ from .perms import (
     verify_theorem2,
 )
 from .census import CensusResult, census_corpus, census_hypersets, run_census
-from .cli import AnalysisReport, build_analysis_report
+
+
+def __getattr__(name):
+    # The command line is imported on first use, not with the package:
+    # importing it here would put cdhg.cli in sys.modules before
+    # "python -m cdhg.cli" runs it as __main__, which warns.
+    if name in ("cli", "AnalysisReport", "build_analysis_report"):
+        cli = importlib.import_module(f"{__name__}.cli")
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AUT_GROUP_ORDER_CUTOFF",
@@ -102,7 +113,6 @@ __all__ = [
     "dump_permgroup",
     "element_order",
     "find_regular_subgroups",
-    "generating_set",
     "group_automorphisms",
     "hypergraph_isomorphic",
     "inn_g_x",

@@ -26,7 +26,6 @@ __all__ = [
     "subgroup_generated",
     "is_subgroup",
     "subgroup_index",
-    "generating_set",
     "element_order",
     "group_automorphisms",
     "inner_automorphisms",
@@ -52,13 +51,17 @@ class FiniteGroup:
 
     Do not construct directly; use from_table or one of the factory
     functions so the axioms are checked.  The name is a display label
-    and does not take part in equality.
+    and generators are what validation found; neither takes part in
+    equality.
     """
 
     name: str = field(compare=False)
     order: int
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
+    # the greedy generating set Light's test ran over: each element, in
+    # index order, outside the subgroup the earlier ones generate
+    generators: tuple[int, ...] = field(compare=False)
 
     @property
     def identity(self) -> int:
@@ -76,12 +79,17 @@ class FiniteGroup:
     @staticmethod
     def from_table(name: str, table: Sequence[Sequence[int]]) -> "FiniteGroup":
         rows = tuple(tuple(row) for row in table)
-        inverse = _validate_table(rows)
-        return FiniteGroup(name=name, order=len(rows), table=rows, inverse=inverse)
+        inverse, generators = _validate_table(rows)
+        return FiniteGroup(
+            name=name, order=len(rows), table=rows, inverse=inverse, generators=generators
+        )
 
 
-def _validate_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Check the group axioms on a raw table; return the inverse map.
+def _validate_table(
+    table: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check the group axioms on a raw table; return the inverse map and
+    the generators the associativity test ran over.
 
     Shape, identity and a right inverse for every element (a 0 in every
     row) are checked first, each in O(n^2).  Associativity is then proved
@@ -156,7 +164,7 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                 if not reached[f]:
                     reached[f] = True
                     closure.append(f)
-    return tuple(row.index(0) for row in table)
+    return tuple(row.index(0) for row in table), tuple(gens)
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -298,17 +306,6 @@ def subgroup_index(g: FiniteGroup, s: Iterable[int]) -> int:
     return g.order // len(members)
 
 
-def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set found greedily in index order."""
-    gens: list[int] = []
-    closure = frozenset({0})
-    for i in range(1, g.order):
-        if i not in closure:
-            gens.append(i)
-            closure = subgroup_generated(g, gens)
-    return tuple(gens)
-
-
 def element_order(g: FiniteGroup, a: int) -> int:
     k, cur = 1, a
     while cur != 0:
@@ -363,15 +360,15 @@ def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
     """All automorphisms of g, exact, refused above the order cutoff and
     when more than AUT_ORDER_CAP are found.
 
-    Search assigns images to a greedy generating set, pruned by element
-    order, and propagates each partial assignment across the generated
-    subgroup before descending.
+    Search assigns images to the generators validation found, pruned by
+    element order, and propagates each partial assignment across the
+    generated subgroup before descending.
     """
     if g.order > AUT_GROUP_ORDER_CUTOFF:
         raise CutoffExceeded(
             f"group order {g.order} exceeds the automorphism search cutoff {AUT_GROUP_ORDER_CUTOFF}"
         )
-    gens = generating_set(g)
+    gens = g.generators
     if not gens:
         return (GroupAutomorphism(tuple(range(g.order))),)
     orders = [element_order(g, a) for a in range(g.order)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .groups import CutoffExceeded, FiniteGroup
-from .hypersets import CayleyHyperset, are_cayley_equivalent, right_translate
+from .hypersets import CayleyHyperset, cayley_equivalence_classes, right_translate
 
 __all__ = [
     "AUT_VERTEX_CUTOFF",
@@ -78,16 +78,14 @@ def ch_construct(g: FiniteGroup, y: CayleyHyperset) -> UndirectedHypergraph:
     inputs could describe one translate family twice."""
     if y.group_order != g.order:
         raise ValueError(f"hyperset is over order {y.group_order}, group has order {g.order}")
-    members = y.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if are_cayley_equivalent(g, members[i], members[j]):
-                raise ValueError(
-                    f"members {members[i]} and {members[j]} are Cayley equivalent; "
-                    "pass one representative per class"
-                )
+    for cls in cayley_equivalence_classes(g, y):
+        if len(cls) > 1:
+            raise ValueError(
+                f"members {cls[0]} and {cls[1]} are Cayley equivalent; "
+                "pass one representative per class"
+            )
     edges = set()
-    for m in members:
+    for m in y.members:
         for h in g.elements():
             edges.add(right_translate(g, m, h))
     return UndirectedHypergraph(vertex_count=g.order, edges=frozenset(edges))

@@ -126,33 +126,13 @@ def cayley_equivalence_classes(
 ) -> tuple[tuple[Member, ...], ...]:
     """Partition the members of x by Cayley equivalence.
 
-    Classes are sorted by their smallest member; members inside a class
-    keep their sorted order.
+    A member's translate class is its whole equivalence class, so each
+    class of x is one member's translate class cut down to x.  Classes
+    are sorted by their smallest member; members inside a class keep
+    their sorted order.
     """
-    index = {m: i for i, m in enumerate(x.members)}
-    parent = list(range(len(x.members)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for m, i in index.items():
-        for t in _translate_class(g, m):
-            j = index.get(t)
-            if j is not None:
-                union(i, j)
-    groups: dict[int, list[Member]] = {}
-    for m, i in index.items():
-        groups.setdefault(find(i), []).append(m)
-    classes = [tuple(sorted(v)) for v in groups.values()]
-    return tuple(sorted(classes))
+    members = x.member_set()
+    return tuple(sorted({tuple(sorted(_translate_class(g, m) & members)) for m in x.members}))
 
 
 def non_cayley_equivalent_representatives(g: FiniteGroup, x: CayleyHyperset) -> CayleyHyperset:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .groups import AUT_ORDER_CAP, CutoffExceeded, FiniteGroup, generating_set
+from .groups import AUT_ORDER_CAP, CutoffExceeded, FiniteGroup
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
 from .hypergraphs import Dihypergraph, _completion_search, cd_construct
 
@@ -87,28 +87,9 @@ class PermGroup:
 
 def right_regular(g: FiniteGroup) -> PermGroup:
     """The right translations v -> v*h, one per group element."""
-    table = g.table
-    perms = frozenset(
-        Permutation(tuple(table[v][h] for v in range(g.order))) for h in g.elements()
-    )
-    gens = tuple(
-        Permutation(tuple(table[v][h] for v in range(g.order))) for h in generating_set(g)
-    )
-    return PermGroup(degree=g.order, perms=perms, generators=gens or None)
-
-
-def _orbit_of(perms: Iterable[Permutation], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    plist = list(perms)
-    while frontier:
-        v = frontier.pop()
-        for p in plist:
-            w = p.images[v]
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+    translations = [Permutation(column) for column in zip(*g.table)]
+    gens = tuple(translations[h] for h in g.generators)
+    return PermGroup(degree=g.order, perms=frozenset(translations), generators=gens or None)
 
 
 def is_regular(p: PermGroup, n: int) -> bool:
@@ -330,7 +311,7 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     if not small.perms <= big.perms:
         raise ValueError("small is not contained in big")
     probes = list(small.generators) if small.generators else small.sorted_perms()
-    orbit = _orbit_of(probes, 0)
+    orbit = {p.images[0] for p in small.perms}
     kept = []
     for x in big.perms:
         w = x.images[0]

@@ -112,6 +112,39 @@ def close_subset(table, seed):
         members |= fresh
 
 
+def greedy_generators(table):
+    """Each element, in index order, that the subgroup generated by the
+    elements picked before it does not hold."""
+    gens = []
+    reached = close_subset(table, ())
+    for a in range(1, len(table)):
+        if a not in reached:
+            gens.append(a)
+            reached = close_subset(table, gens)
+    return tuple(gens)
+
+
+def brute_cayley_classes(table, members):
+    """Members partitioned by b = a*s^-1 for some s in a, tested pair by
+    pair in both directions and closed transitively; each class and the
+    list of classes sorted."""
+    members = sorted(set(members))
+    translates = {a: brute_single_closure(table, a) for a in members}
+    classes = []
+    for a in members:
+        if any(a in cls for cls in classes):
+            continue
+        cls, frontier = {a}, [a]
+        while frontier:
+            c = frontier.pop()
+            for b in members:
+                if b not in cls and (b in translates[c] or c in translates[b]):
+                    cls.add(b)
+                    frontier.append(b)
+        classes.append(tuple(sorted(cls)))
+    return sorted(classes)
+
+
 def all_subgroups_up_to(table, max_order):
     """Every subgroup of order <= max_order, by one-generator extension.
 

@@ -220,15 +220,40 @@ def test_invalid_group_file_exits_2(capsys, tmp_path):
     assert "no inverse" in err
 
 
-def test_python_m_cdhg_runs_without_warnings():
+def run_python(*argv):
+    """Run a fresh "python argv..." on the imported package's sources."""
     # the directory that holds the imported package, so the child runs it
     src = str(Path(cdhg.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cdhg", "census", "--max-order", "3"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_m_cdhg_runs_without_warnings():
+    proc = run_python("-m", "cdhg", "census", "--max-order", "3")
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_python_m_cdhg_cli_runs_without_warnings():
+    # importing the package must not import cdhg.cli before runpy does
+    proc = run_python("-m", "cdhg.cli", "census", "--max-order", "3")
+    assert proc.returncode == 0
+    assert "result: PASS" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_names_resolve_from_the_package():
+    # in a fresh interpreter, where nothing has imported cdhg.cli yet
+    proc = run_python("-c", (
+        "from cdhg import *\n"
+        "import cdhg\n"
+        "assert build_analysis_report is cdhg.cli.build_analysis_report\n"
+        "assert AnalysisReport is cdhg.AnalysisReport is cdhg.cli.AnalysisReport\n"
+        "assert cdhg.build_analysis_report is build_analysis_report\n"
+    ))
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,6 @@ from cdhg import (
     census_corpus,
     direct_product,
     element_order,
-    generating_set,
     group_automorphisms,
     inner_automorphisms,
     is_subgroup,
@@ -261,10 +260,14 @@ def test_subgroup_index_rejects_non_subgroup():
         subgroup_index(make_cyclic(6), {0, 1})
 
 
-def test_generating_set_generates():
-    for g in CORPUS8:
-        gens = generating_set(g)
-        assert subgroup_generated(g, gens) == frozenset(g.elements())
+def test_generators_match_the_greedy_oracle():
+    for g in census_corpus(10):
+        table = [list(row) for row in g.table]
+        gens = g.generators
+        assert gens == oracles.greedy_generators(table), g.name
+        for k, a in enumerate(gens):
+            assert a not in oracles.close_subset(table, gens[:k]), (g.name, a)
+        assert oracles.close_subset(table, gens) == frozenset(g.elements()), g.name
 
 
 def test_element_order_identity():

@@ -89,8 +89,12 @@ def test_ch_construct_cosets():
 def test_ch_construct_rejects_equivalent_members():
     z7 = make_cyclic(7)
     y = validate_hyperset(z7, [[0, 1, 3], [0, 2, 6]])
-    with pytest.raises(ValueError, match="Cayley equivalent"):
+    with pytest.raises(ValueError) as err:
         ch_construct(z7, y)
+    assert str(err.value) == (
+        "members (0, 1, 3) and (0, 2, 6) are Cayley equivalent; "
+        "pass one representative per class"
+    )
 
 
 def test_underlying_fano(fano_cd):

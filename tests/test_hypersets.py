@@ -10,6 +10,7 @@ from cdhg import (
     cayley_closure,
     cayley_equivalence_classes,
     census_corpus,
+    ch_construct,
     group_automorphisms,
     inn_g_x,
     inner_automorphisms,
@@ -222,6 +223,46 @@ def test_representatives_satisfy_their_contract(inst):
         for b in y.members[i + 1:]:
             assert not are_cayley_equivalent(g, a, b)
     assert cayley_closure(g, y) == cayley_closure(g, x)
+
+
+@st.composite
+def hypersets_with_translates(draw):
+    """A census-scale group and a hyperset that need not be closed: random
+    identity-containing subsets, each joined by some of its own translates
+    a*s^-1 (s in a), read straight off the table."""
+    g = draw(st.sampled_from(CORPUS8))
+    inv = oracles.table_inverses(g.table)
+    raw = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = sorted({0} | draw(st.sets(st.integers(0, g.order - 1), max_size=3)))
+        raw.append(a)
+        for s in draw(st.sets(st.sampled_from(a), max_size=2)):
+            raw.append([g.table[t][inv[s]] for t in a])
+    return g, validate_hyperset(g, raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=hypersets_with_translates())
+def test_classes_match_the_pairwise_oracle(inst):
+    g, x = inst
+    classes = oracles.brute_cayley_classes(g.table, x.members)
+    assert list(cayley_equivalence_classes(g, x)) == classes
+    # ch_construct refuses the first equivalent pair in member order
+    pairs = [
+        (a, b)
+        for i, a in enumerate(x.members)
+        for b in x.members[i + 1:]
+        if b in oracles.brute_single_closure(g.table, a)
+    ]
+    if pairs:
+        a, b = pairs[0]
+        with pytest.raises(ValueError) as err:
+            ch_construct(g, x)
+        assert str(err.value).startswith(f"members {a} and {b} are Cayley equivalent")
+    else:
+        assert ch_construct(g, x).edges == {
+            tuple(sorted(g.table[t][h] for t in m)) for m in x.members for h in g.elements()
+        }
 
 
 @settings(max_examples=100, deadline=None)
