@@ -187,18 +187,23 @@ def _perm_image_arcs(perm: Permutation, arcs):
 
 
 def _heavy_layers(h: Dihypergraph):
-    """Aut(h), or None when it is refused; the first element of Aut(h)
-    that moves an arc off the arc set, or None when every element keeps
+    """Aut(h), or None when it is refused; the first generator of Aut(h)
+    that moves an arc off the arc set, or None when every generator keeps
     it; and one (perms, order profile) pair per regular subgroup of
     Aut(h), the profile None when its round trip fails.  All of it
-    depends on the arcs alone."""
+    depends on the arcs alone.
+
+    The generators are the maps of Aut(h)'s stabiliser chain, whose
+    products are all of Aut(h), and a product of arc-preserving maps
+    preserves the arcs: so when no generator breaks an arc, no element
+    does."""
     try:
         aut_h = aut_hypergraph(h)
     except CutoffExceeded:
         return None, None, None
     arc_set = set(h.arcs)
     bad = next(
-        (p for p in aut_h.perms if _perm_image_arcs(p, h.arcs) != arc_set), None
+        (p for p in aut_h.generators or () if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
@@ -311,9 +316,11 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                 ):
                     tallies[name].skip("aut order over cap")
             else:
+                # the translations are a group, so they lie in Aut(h)
+                # exactly when their generators do
                 tallies["right_regular_in_aut"].ok(
                     tag,
-                    g_r.perms <= aut_h.perms,
+                    all(t in aut_h for t in g_r.generators or ()),
                     "a right translation is not an automorphism",
                 )
 
@@ -352,11 +359,11 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                 )
 
                 in_aut = {
-                    a.map for a in auts_g if Permutation(a.map) in aut_h.perms
+                    a.map for a in auts_g if Permutation(a.map) in aut_h
                 }
                 outer_match = in_aut == {a.map for a in aut_g_x(g, x)}
                 inn_in_aut = {
-                    a.map for a in inns_g if Permutation(a.map) in aut_h.perms
+                    a.map for a in inns_g if Permutation(a.map) in aut_h
                 }
                 inner_match = inn_in_aut == {a.map for a in inn_g_x(g, x)}
                 tallies["aut_intersection"].ok(

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import AUT_ORDER_CAP, CutoffExceeded, FiniteGroup
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
@@ -60,26 +61,75 @@ class Permutation:
         return Permutation(tuple(range(n)))
 
 
-@dataclass(frozen=True)
 class PermGroup:
-    """A fully enumerated permutation group on 0..degree-1.
+    """A permutation group on 0..degree-1, given by its elements or by a
+    stabiliser chain.
+
+    A chain holds one transversal T_k per point k: T_k[0] is the
+    identity, every map in T_k fixes 0..k-1, and no two send k to the
+    same point.  Every element is then one product r_{n-1} then ... then
+    r_0 with r_k in T_k, so the order is prod |T_k|, membership is a
+    sift through the levels, and perms is listed from the chain only
+    when a caller first reads it.  aut_hypergraph returns such a group;
+    every other constructor here lists its elements.
 
     generators, when present, is a subset whose closure is the whole
-    group.  normalizer tests conjugation on it instead of on every
-    element, which halves its compositions on the analyze inputs of the
-    benchmark; the results are the same without it.
+    group; normalizer tests conjugation on it instead of on every
+    element.  A chain's generators are its non-identity transversal maps.
     """
 
-    degree: int
-    perms: frozenset[Permutation]
-    generators: Optional[tuple[Permutation, ...]] = None
+    def __init__(
+        self,
+        degree: int,
+        perms: Optional[frozenset[Permutation]] = None,
+        generators: Optional[tuple[Permutation, ...]] = None,
+        transversals: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None,
+    ):
+        if (perms is None) == (transversals is None):
+            raise ValueError("a permutation group is given by its elements or by a stabiliser chain")
+        self.degree = degree
+        self.generators = generators
+        self.transversals = transversals
+        if perms is not None:
+            # a listed group's elements shadow the cached property below
+            self.perms = perms
+
+    @cached_property
+    def perms(self) -> frozenset[Permutation]:
+        """Every element, listed from the chain on first use."""
+        return frozenset(map(Permutation, _chain_products(self.transversals, self.degree)))
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        if self.transversals is None:
+            return len(self.perms)
+        return math.prod(map(len, self.transversals))
+
+    @cached_property
+    def _sifts(self) -> list[dict[int, tuple[int, ...]]]:
+        """Per level k, r(k) -> r^-1 for each r in T_k but the identity."""
+        return [
+            {r[k]: _inverse(r) for r in reps[1:]}
+            for k, reps in enumerate(self.transversals)
+        ]
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.perms
+        if p.degree != self.degree:
+            return False
+        if self.transversals is None:
+            return p in self.perms
+        # at level k, p fixes 0..k-1; dividing out the r in T_k with
+        # r(k) = p(k) leaves a map fixing k too, and p is in the group
+        # exactly when no level lacks its r
+        cur = p.images
+        for k, level in enumerate(self._sifts):
+            w = cur[k]
+            if w != k:
+                undo = level.get(w)
+                if undo is None:
+                    return False
+                cur = itemgetter(*cur)(undo)
+        return True
 
     def sorted_perms(self) -> list[Permutation]:
         return sorted(self.perms, key=lambda p: p.images)
@@ -100,8 +150,12 @@ def is_regular(p: PermGroup, n: int) -> bool:
     return p.degree == n and p.order == n and len({q.images[0] for q in p.perms}) == n
 
 
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
 def _products(
-    group: Iterable[tuple[int, ...]], reps: list[tuple[int, ...]]
+    group: Iterable[tuple[int, ...]], reps: Sequence[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
     """The image tuples of s then r for s in group and r in reps, made on
     demand, so a chain of these holds no level of a group in memory.
@@ -111,22 +165,35 @@ def _products(
         yield from map(itemgetter(*s), reps)
 
 
-def aut_hypergraph(h: Dihypergraph) -> PermGroup:
-    """Every vertex permutation preserving the arc set.  Refused as
-    'over cutoff (n > AUT_VERTEX_CUTOFF)' by the completion search, and as
-    'aut order N over cap AUT_ORDER_CAP' before any element is listed.
+def _chain_products(
+    transversals: Sequence[tuple[tuple[int, ...], ...]], n: int
+) -> Iterable[tuple[int, ...]]:
+    """The image tuples of every product r_{n-1} then ... then r_0 with
+    r_k in transversals[k], made on demand; levels holding only the
+    identity add nothing."""
+    group: Iterable[tuple[int, ...]] = [tuple(range(n))]
+    for reps in reversed(transversals):
+        if len(reps) > 1:
+            group = _products(group, reps)
+    return group
 
-    The group is found as a chain of pointwise stabilisers: G^(k) holds
-    the automorphisms fixing each of 0..k-1.  For each image w != k of k,
-    one search for the first arc-preserving completion of the prefix
-    (0, ..., k-1, w) either fails or yields an element of G^(k) sending
-    k to w; with the identity for w = k these form a transversal T_k of
-    G^(k+1) in G^(k).  Every element of G^(k) is then s then r for one
-    s in G^(k+1) and one r in T_k, and these products are distinct, so
-    |Aut| = prod |T_k| is known from the transversals alone, and the
-    group is rebuilt level by level from them with no arc check on the
-    products.  The isomorphism test shares the search
-    (hypergraph_isomorphic).
+
+def aut_hypergraph(h: Dihypergraph) -> PermGroup:
+    """Every vertex permutation preserving the arc set, as a stabiliser
+    chain.  Refused as 'over cutoff (n > AUT_VERTEX_CUTOFF)' by the
+    completion search, and as 'aut order N over cap AUT_ORDER_CAP' from
+    the chain, before any element is listed.
+
+    G^(k) holds the automorphisms fixing each of 0..k-1.  For each image
+    w != k of k, one search for the first arc-preserving completion of
+    the prefix (0, ..., k-1, w) either fails or yields an element of
+    G^(k) sending k to w; with the identity for w = k these form a
+    transversal T_k of G^(k+1) in G^(k).  Every element of G^(k) is then
+    s then r for one s in G^(k+1) and one r in T_k, and these products
+    are distinct exactly when each r in T_k fixes 0..k-1 and no two send
+    k to the same point, which is checked here.  So |Aut| = prod |T_k|
+    and no element is listed until a caller reads perms.  The
+    isomorphism test shares the search (hypergraph_isomorphic).
     """
     n = h.vertex_count
     first = _completion_search(h, h)
@@ -134,20 +201,18 @@ def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     transversals = []
     for k in range(n):
         found = (first((*range(k), w)) for w in range(k + 1, n))
-        transversals.append([identity, *(m for m in found if m is not None)])
+        transversals.append((identity, *(m for m in found if m is not None)))
     order = math.prod(len(reps) for reps in transversals)
     if order > AUT_ORDER_CAP:
         raise CutoffExceeded(f"aut order {order} over cap {AUT_ORDER_CAP}")
-    group: Iterable[tuple[int, ...]] = [identity]
-    for reps in reversed(transversals):
-        if len(reps) > 1:
-            group = _products(group, reps)
-    perms = frozenset(map(Permutation, group))
-    if len(perms) != order:
-        raise RuntimeError(
-            f"stabiliser chain gives {len(perms)} distinct products, expected {order}"
-        )
-    return PermGroup(degree=n, perms=perms)
+    for k, reps in enumerate(transversals):
+        if any(r[:k] != identity[:k] for r in reps) or len({r[k] for r in reps}) != len(reps):
+            raise RuntimeError(
+                f"stabiliser chain level {k} does not give distinct products: "
+                f"its maps must fix 0..{k - 1} and send {k} to distinct points"
+            )
+    generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
+    return PermGroup(degree=n, generators=generators or None, transversals=tuple(transversals))
 
 
 def _is_semiregular(p: Permutation) -> bool:
@@ -296,6 +361,24 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     return CayleyRecovery(group=group, hyperset=hyperset)
 
 
+def _probes(small: PermGroup) -> list[itemgetter]:
+    """One getter per non-identity generator s of small (per element when
+    none are known), composing s then x as probe(x).  Conjugation is an
+    injective homomorphism, so it maps small onto itself as soon as it
+    maps these into small."""
+    return [
+        itemgetter(*s.images)
+        for s in (small.generators or small.sorted_perms())
+        if not s.is_identity()
+    ]
+
+
+def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) -> bool:
+    """True when x^-1 then s then x lies in inside for every probe s."""
+    undo = itemgetter(*_inverse(x))
+    return all(undo(probe(x)) in inside for probe in probes)
+
+
 def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     """Elements of big whose conjugation maps small onto itself.
 
@@ -303,25 +386,30 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     say x(0) = t(0) with t in small, factors as s then t with s = x then
     t^-1 fixing 0 and in the normalizer too (the Frattini argument).  So
     only the elements fixing 0 or moving 0 out of that orbit are tested,
-    and the rest are rebuilt as products; for a transitive small that
-    scans the point stabiliser alone.
+    and the rest are rebuilt as products.  When big is a stabiliser
+    chain, an element's image of 0 is that of its factor r_0 in T_0, so
+    only the T_0 maps passing that filter are multiplied out; for a
+    transitive small that lists the point stabiliser alone.
     """
     if big.degree != small.degree:
         raise ValueError(f"degree mismatch: {big.degree} vs {small.degree}")
-    if not small.perms <= big.perms:
+    if not all(p in big for p in small.generators or small.perms):
         raise ValueError("small is not contained in big")
-    probes = list(small.generators) if small.generators else small.sorted_perms()
-    orbit = {p.images[0] for p in small.perms}
-    kept = []
-    for x in big.perms:
-        w = x.images[0]
-        if w != 0 and w in orbit:
-            continue
-        xi = x.inverse()
-        if all(xi.then(s).then(x) in small.perms for s in probes):
-            kept.append(x)
-    products = {s.then(t) for s in kept if s.images[0] == 0 for t in small.perms}
-    return PermGroup(degree=big.degree, perms=frozenset(kept).union(products))
+    inside = {p.images for p in small.perms}
+    # an element is tested only when it sends 0 to one of these points
+    tested = set(range(big.degree)).difference(p[0] for p in inside) | {0}
+    if big.transversals is None:
+        candidates = (x.images for x in big.perms if x.images[0] in tested)
+    else:
+        top = tuple(r for r in big.transversals[0] if r[0] in tested)
+        candidates = _chain_products((top, *big.transversals[1:]), big.degree)
+    probes = _probes(small)
+    kept = [x for x in candidates if _conjugates_into(x, probes, inside)]
+    # a t in small fixing 0 lies in the normalizer, so s then t is kept already
+    products = {
+        itemgetter(*s)(t) for s in kept if s[0] == 0 for t in inside if t[0] != 0
+    }
+    return PermGroup(degree=big.degree, perms=frozenset(map(Permutation, products.union(kept))))
 
 
 @dataclass(frozen=True)
@@ -365,12 +453,11 @@ def verify_theorem2(
     norm = normalizer(aut, g_r)
     sigma = [Permutation(a.map) for a in aut_g_x(g, x)]
     product = {s.then(t) for s in sigma for t in g_r.perms}
-    g_r_normal = True
-    for q in norm.perms:
-        qi = q.inverse()
-        if any(qi.then(t).then(q) not in g_r.perms for t in g_r.perms):
-            g_r_normal = False
-            break
+    # conjugation by q is an injective homomorphism, so it sends
+    # <generators> = G_R onto G_R once it sends each generator into G_R
+    probes = _probes(g_r)
+    inside = {t.images for t in g_r.perms}
+    g_r_normal = all(_conjugates_into(q.images, probes, inside) for q in norm.perms)
     stabilizer = {q for q in norm.perms if q.images[0] == 0}
     return Theorem2Report(
         group_order=g.order,

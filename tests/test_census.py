@@ -2,7 +2,11 @@
 
 import pytest
 
+import oracles
 from cdhg import (
+    PermGroup,
+    Permutation,
+    cd_construct,
     census_corpus,
     census_hypersets,
     is_cayley_closed,
@@ -122,6 +126,40 @@ def test_run_census_tallies_a_failed_recovery(monkeypatch):
     assert result.nontrivial_regular_round_trips == 0
     # a failed recovery adds no order profile
     assert result.foreign_presentations == ()
+    assert result.render().endswith("result: FAIL\n")
+
+
+def test_run_census_tallies_a_generator_that_breaks_an_arc(monkeypatch):
+    # aut_preserves_arcs reads the generators of Aut(h)'s chain alone; a
+    # swap of 0 and 1 slipped in among them fails every instance whose
+    # arcs it moves, by the oracle's count
+    import cdhg.census
+
+    aut_hypergraph = cdhg.census.aut_hypergraph
+
+    def with_swap(h):
+        aut = aut_hypergraph(h)
+        if h.vertex_count < 2:
+            return aut
+        swap = Permutation((1, 0, *range(2, h.vertex_count)))
+        return PermGroup(
+            h.vertex_count,
+            generators=(*(aut.generators or ()), swap),
+            transversals=aut.transversals,
+        )
+
+    monkeypatch.setattr(cdhg.census, "aut_hypergraph", with_swap)
+    result = run_census(max_order=4, max_member_size=2)
+    moved = [
+        f"aut_preserves_arcs: {g.name} X={list(x.members)}: permutation "
+        f"{(1, 0, *range(2, g.order))} breaks an arc"
+        for g in census_corpus(4)
+        if g.order >= 2
+        for x in census_hypersets(g, 2)
+        if not oracles.preserves_arcs([(1, 0, *range(2, g.order))], cd_construct(g, x).arcs)
+    ]
+    assert moved
+    assert result.tallies["aut_preserves_arcs"].failures == moved
     assert result.render().endswith("result: FAIL\n")
 
 

@@ -2,6 +2,7 @@
 regular subgroups, recovery, normalizers, and the factorization report."""
 
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from cdhg import (
     PermGroup,
     Permutation,
     aut_hypergraph,
+    build_analysis_report,
     cd_construct,
     census_corpus,
     census_hypersets,
@@ -196,6 +198,96 @@ def test_aut_rejects_a_wrong_stabiliser_chain(monkeypatch):
     monkeypatch.setattr(cdhg.perms, "_completion_search", lambda a, b: lambda prefix: (1, 0, 2))
     with pytest.raises(RuntimeError, match="distinct products"):
         aut_hypergraph(Dihypergraph(vertex_count=3, arcs=frozenset()))
+
+
+def test_aut_rejects_a_chain_that_repeats_an_image(monkeypatch):
+    # the search's maps fix 0 as the prefix asks, but send 1 to 2 for
+    # both w = 2 and w = 3, so T_1 repeats an image of 1
+    import cdhg.perms
+    from cdhg import Dihypergraph
+
+    monkeypatch.setattr(
+        cdhg.perms,
+        "_completion_search",
+        lambda a, b: lambda prefix: (0, 2, 1, 3) if len(prefix) == 2 else None,
+    )
+    with pytest.raises(RuntimeError, match="distinct products"):
+        aut_hypergraph(Dihypergraph(vertex_count=4, arcs=frozenset()))
+
+
+def test_permgroup_takes_its_elements_or_its_chain():
+    with pytest.raises(ValueError, match="elements or by a stabiliser chain"):
+        PermGroup(3)
+    identity = (0, 1, 2)
+    with pytest.raises(ValueError, match="elements or by a stabiliser chain"):
+        PermGroup(3, frozenset({Permutation(identity)}), transversals=((identity,),) * 3)
+
+
+def check_chain_against_brute_force(h, smalls=()):
+    """Membership, order and normalizers of the chain-backed Aut(h)
+    agree with the brute-force oracle, and none of them lists Aut(h).
+
+    Besides the given subgroups, the normalizer is taken of a cyclic
+    subgroup fixing 0, whose orbit of 0 is {0}, so every map of T_0
+    passes its filter, and of one generated by a map of T_0, so some
+    maps may pass and some not."""
+    n = h.vertex_count
+    aut = aut_hypergraph(h)
+    brute = set(oracles.brute_hypergraph_automorphisms(n, h.arcs))
+    assert {p for p in permutations(range(n)) if Permutation(p) in aut} == brute
+    assert aut.order == len(brute)
+    top, *rest = aut.transversals
+    fixing_0 = [r for reps in rest for r in reps[1:]]
+    for small in (*smalls, closure(n, *fixing_0[:1]), closure(n, top[-1])):
+        norm = normalizer(aut, small)
+        assert {p.images for p in norm.perms} == oracles.brute_normalizer(
+            brute, [p.images for p in small.perms]
+        )
+    assert "perms" not in vars(aut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chain_matches_brute_force_on_random_dihypergraphs(data):
+    n = data.draw(st.integers(1, 5))
+    _, _, text = data.draw(dihypergraph_texts(n))
+    check_chain_against_brute_force(load_dihypergraph(text))
+
+
+def test_chain_matches_brute_force_on_census_arc_sets():
+    # every distinct arc set among the instances of run_census(6, 3),
+    # with the right translations of the first group that gives it
+    seen = {}
+    for g in census_corpus(6):
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            seen.setdefault(h.arcs, (h, g))
+    assert len(seen) == 35
+    for h, g in seen.values():
+        check_chain_against_brute_force(h, [right_regular(g)])
+
+
+def test_analyze_lists_only_the_point_stabiliser_of_aut(monkeypatch):
+    # Aut of the Z8 loops is S8; the normalizer of the translations
+    # needs only the stabiliser of 0, 8!/8 = 5040 of its elements, and
+    # every level of the chain below it lists elements of that stabiliser
+    import cdhg.perms
+
+    built = set()
+    products = cdhg.perms._products
+
+    def counted(group, reps):
+        for p in products(group, reps):
+            built.add(p)
+            yield p
+
+    monkeypatch.setattr(cdhg.perms, "_products", counted)
+    z8 = make_cyclic(8)
+    lines = build_analysis_report(z8, validate_hyperset(z8, [[0]])).render().splitlines()
+    assert "aut_h: 40320" in lines
+    assert "normalizer: 32" in lines
+    assert all(line.endswith(": pass") for line in lines if line.startswith("theorem2_"))
+    assert len(built) <= 5040
 
 
 def test_find_regular_subgroups_contains_translations(fano_group, fano_cd):
