@@ -193,10 +193,10 @@ def _heavy_layers(h: Dihypergraph):
     Aut(h), the profile None when its round trip fails.  All of it
     depends on the arcs alone.
 
-    The generators are the maps of Aut(h)'s stabiliser chain, whose
-    products are all of Aut(h), and a product of arc-preserving maps
-    preserves the arcs: so when no generator breaks an arc, no element
-    does."""
+    The generators are the maps the search for Aut(h)'s stabiliser chain
+    found, whose products are all of Aut(h), and a product of
+    arc-preserving maps preserves the arcs: so when no generator breaks
+    an arc, no element does."""
     try:
         aut_h = aut_hypergraph(h)
     except CutoffExceeded:

@@ -75,7 +75,10 @@ class PermGroup:
 
     generators, when present, is a subset whose closure is the whole
     group; normalizer tests conjugation on it instead of on every
-    element.  A chain's generators are its non-identity transversal maps.
+    element.  A chain's generators are the maps its search found, a
+    strong generating set: those found at levels k and above generate
+    the maps fixing 0..k-1, and every transversal map is a product of
+    them.
     """
 
     def __init__(
@@ -178,47 +181,93 @@ def _chain_products(
     return group
 
 
+def _orbit(
+    point: int, maps: Sequence[tuple[int, ...]], identity: tuple[int, ...]
+) -> dict[int, tuple[int, ...]]:
+    """Each point that products of maps carry point to, with the first
+    such product found breadth first, as an image tuple; point itself
+    gets the identity."""
+    orbit = {point: identity}
+    queue = [point]
+    for p in queue:
+        via = itemgetter(*orbit[p])
+        for m in maps:
+            q = m[p]
+            if q not in orbit:
+                # via(m) is orbit[p] then m, which sends point to q
+                orbit[q] = via(m)
+                queue.append(q)
+    return orbit
+
+
 def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     """Every vertex permutation preserving the arc set, as a stabiliser
     chain.  Refused as 'over cutoff (n > AUT_VERTEX_CUTOFF)' by the
     completion search, and as 'aut order N over cap AUT_ORDER_CAP' from
     the chain, before any element is listed.
 
-    G^(k) holds the automorphisms fixing each of 0..k-1.  For each image
-    w != k of k, one search for the first arc-preserving completion of
-    the prefix (0, ..., k-1, w) either fails or yields an element of
-    G^(k) sending k to w; with the identity for w = k these form a
-    transversal T_k of G^(k+1) in G^(k).  Every element of G^(k) is then
-    s then r for one s in G^(k+1) and one r in T_k, and these products
-    are distinct exactly when each r in T_k fixes 0..k-1 and no two send
-    k to the same point, which is checked here.  So |Aut| = prod |T_k|
-    and no element is listed until a caller reads perms.  The
-    isomorphism test shares the search (hypergraph_isomorphic).
+    G^(k) holds the automorphisms fixing each of 0..k-1, and T_k holds
+    one map of G^(k) per point of k's orbit under G^(k).  The levels are
+    built from k = n-1 down to 0 (Sims 1970), and found holds every map
+    the completion search has returned so far.  Each answer is checked
+    to extend its prefix, so a map found at level k' fixes 0..k'-1, and
+    at level k <= k' it lies in G^(k).  At level k:
+
+    - a point in k's orbit under <found> is an image of k, and no
+      search is made for it;
+    - for any other w > k, one search for the first arc-preserving
+      completion of (0, ..., k-1, w) either yields a map of G^(k)
+      sending k to w, which joins found, or fails: then w is no image
+      of k, and nor is any point of w's orbit under <found>, since a
+      G^(k)-orbit is a union of <found>-orbits, so those are skipped.
+
+    So when the level ends, k's orbit under <found> is its whole orbit
+    under G^(k), and T_k lists one product of found per point of it,
+    identity first.  Every such product fixes 0..k-1 and sends k to its
+    own point, so the products r_{n-1} then ... then r_0 with r_k in T_k
+    are distinct and |Aut| = prod |T_k|, with nothing listed.  found
+    generates Aut: an element g of G^(k) is s then r, with r in T_k
+    sending k where g does and s = g then r^-1 in G^(k+1), so by
+    induction from G^(n) = 1, G^(k) is generated by the maps found at
+    levels k and above.  The isomorphism test shares the search
+    (hypergraph_isomorphic).
     """
     n = h.vertex_count
     first = _completion_search(h, h)
     identity = tuple(range(n))
+    found: list[tuple[int, ...]] = []
     transversals = []
-    for k in range(n):
-        found = (first((*range(k), w)) for w in range(k + 1, n))
-        transversals.append((identity, *(m for m in found if m is not None)))
+    for k in reversed(range(n)):
+        orbit = _orbit(k, found, identity)
+        dead: set[int] = set()
+        for w in range(k + 1, n):
+            if w in orbit or w in dead:
+                continue
+            m = first((*range(k), w))
+            if m is None:
+                dead.update(_orbit(w, found, identity))
+                continue
+            if m[:k] != identity[:k] or m[k] != w:
+                raise RuntimeError(
+                    f"stabiliser chain level {k} does not give distinct products: "
+                    f"the map found for {k} -> {w} must fix 0..{k - 1} and send {k} to {w}"
+                )
+            found.append(m)
+            orbit = _orbit(k, found, identity)
+        transversals.append(tuple(orbit[v] for v in sorted(orbit)))
+    transversals.reverse()
     order = math.prod(len(reps) for reps in transversals)
     if order > AUT_ORDER_CAP:
         raise CutoffExceeded(f"aut order {order} over cap {AUT_ORDER_CAP}")
-    for k, reps in enumerate(transversals):
-        if any(r[:k] != identity[:k] for r in reps) or len({r[k] for r in reps}) != len(reps):
-            raise RuntimeError(
-                f"stabiliser chain level {k} does not give distinct products: "
-                f"its maps must fix 0..{k - 1} and send {k} to distinct points"
-            )
-    generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
+    generators = tuple(map(Permutation, found))
     return PermGroup(degree=n, generators=generators or None, transversals=tuple(transversals))
 
 
-def _is_semiregular(p: Permutation) -> bool:
-    """All cycles share one length; such permutations are exactly the
-    possible non-identity members of a regular group."""
-    n = p.degree
+def _is_semiregular(images: tuple[int, ...]) -> bool:
+    """All cycles of the permutation with these images share one length;
+    such permutations are exactly the possible members of a regular
+    group."""
+    n = len(images)
     seen = [False] * n
     lengths = set()
     for v in range(n):
@@ -227,7 +276,7 @@ def _is_semiregular(p: Permutation) -> bool:
         length, cur = 0, v
         while not seen[cur]:
             seen[cur] = True
-            cur = p.images[cur]
+            cur = images[cur]
             length += 1
         lengths.add(length)
         if len(lengths) > 1:
@@ -245,6 +294,8 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
 
     Only the identity and the semiregular members can sit in a slot, so
     those are indexed once, in image order, and slots hold indices.  A
+    chain's products are filtered as they are made: only the kept ones
+    become Permutations, and perms is not listed on the group.  A
     product is composed by a per-member itemgetter and looked up in the
     index; a product outside the index is a conflict.  Products are not
     memoised: in S8 a table of them answered 31% of lookups and doubled
@@ -252,10 +303,14 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     """
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
-    members = sorted((q for q in p.perms if _is_semiregular(q)), key=lambda q: q.images)
-    if not members or not members[0].is_identity():
+    if p.transversals is None:
+        images: Iterable[tuple[int, ...]] = (q.images for q in p.perms)
+    else:
+        images = _chain_products(p.transversals, n)
+    ims = sorted(filter(_is_semiregular, images))
+    if not ims or ims[0] != tuple(range(n)):
         raise ValueError("permutation group does not contain the identity")
-    ims = [q.images for q in members]
+    members = [Permutation(im) for im in ims]
     index = {im: i for i, im in enumerate(ims)}
     # compose[i](o) is the image tuple of member i then o (for n = 1,
     # where nothing is ever composed, it would be a bare int)

@@ -1,11 +1,16 @@
 """Vertex permutations: regular representations, automorphism search,
 regular subgroups, recovery, normalizers, and the factorization report."""
 
+import math
 from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import (
+    Permutation as SympyPermutation,
+    PermutationGroup as SympyPermutationGroup,
+)
 
 import oracles
 from cdhg import (
@@ -29,6 +34,7 @@ from cdhg import (
     normalizer,
     regular_to_cayley,
     right_regular,
+    single_cayley_closure,
     validate_hyperset,
     verify_theorem2,
 )
@@ -213,6 +219,61 @@ def test_aut_rejects_a_chain_that_repeats_an_image(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="distinct products"):
         aut_hypergraph(Dihypergraph(vertex_count=4, arcs=frozenset()))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_aut_of_loops_searches_once_per_level(monkeypatch, n):
+    # Aut of the Z_n loops is S_n; at each level k < n-1 the first map
+    # found, together with those of the levels above, carries k to every
+    # point above it, so one prefix search per level is made, not one per
+    # image (n(n-1)/2 in all)
+    import cdhg.perms
+
+    prefixes = []
+    search = cdhg.perms._completion_search
+
+    def counted(a, b):
+        first = search(a, b)
+
+        def counted_first(prefix):
+            prefixes.append(prefix)
+            return first(prefix)
+
+        return counted_first
+
+    monkeypatch.setattr(cdhg.perms, "_completion_search", counted)
+    zn = make_cyclic(n)
+    aut = aut_hypergraph(cd_construct(zn, validate_hyperset(zn, [[0]])))
+    assert len(prefixes) == n - 1
+    assert aut.order == math.factorial(n)
+
+
+def test_aut_generators_give_the_chain_order_by_sympy():
+    # sympy's own Schreier-Sims, which shares no code with the library,
+    # closes the searched maps: the group they generate has the chain's
+    # order and holds every map of every transversal.  The inputs are
+    # every distinct census arc set of order 7 or 8, the loops X = {{0}}
+    # among them, and two closures each over Z9 and D5 under the order cap
+    seen = {}
+    for g in census_corpus(8):
+        if g.order >= 7:
+            for x in census_hypersets(g, 3):
+                h = cd_construct(g, x)
+                seen.setdefault(h.arcs, h)
+    assert len(seen) == 43
+    for g, members in ((make_cyclic(9), ([0, 3], [0, 1, 5])), (make_dihedral(5), ([0, 5], [0, 1, 5]))):
+        for m in members:
+            h = cd_construct(g, single_cayley_closure(g, m))
+            seen.setdefault(h.arcs, h)
+    assert len(seen) == 47
+    orders = set()
+    for h in seen.values():
+        aut = aut_hypergraph(h)
+        group = SympyPermutationGroup([SympyPermutation(list(p.images)) for p in aut.generators])
+        assert group.order() == aut.order
+        assert all(group.contains(SympyPermutation(list(r))) for reps in aut.transversals for r in reps)
+        orders.add(aut.order)
+    assert {5040, 40320, 1296, 3840} <= orders
 
 
 def test_permgroup_takes_its_elements_or_its_chain():
