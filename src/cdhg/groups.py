@@ -36,8 +36,10 @@ AUT_GROUP_ORDER_CUTOFF = 40
 
 # No automorphism group of larger order is listed: perms.aut_hypergraph
 # refuses one before listing any element (S8, 40,320, is the largest Aut
-# in the census below it), and group_automorphisms when it finds the
-# automorphism after the cap (Z2^5 has 9,999,360).
+# in the census below it).  The group-side search refuses when it finds
+# the automorphism after the cap among those it keeps: all of Aut(G) for
+# group_automorphisms (Z2^5 has 9,999,360), and only those preserving X
+# for hypersets.aut_g_x (Z2^5 with X = {{0, 1}} keeps 322,560).
 AUT_ORDER_CAP = 50000
 
 
@@ -157,14 +159,22 @@ def _validate_table(
                     f"({x}*{a})*{y} = {row_xa[y]} but {x}*({a}*{y}) = {tx[ta[y]]}"
                 )
         gens.append(a)
-        for e in closure:
-            te = table[e]
-            for s in gens:
-                f = te[s]
-                if not reached[f]:
-                    reached[f] = True
-                    closure.append(f)
+        _grow_closure(table, gens, reached, closure)
     return tuple(row.index(0) for row in table), tuple(gens)
+
+
+def _grow_closure(
+    table: Sequence[Sequence[int]], gens: Sequence[int], reached: list[bool], closure: list[int]
+) -> None:
+    """Grow closure, the elements reached from 0 so far, to the subgroup
+    gens generate, marking each new element in reached."""
+    for e in closure:
+        te = table[e]
+        for s in gens:
+            f = te[s]
+            if not reached[f]:
+                reached[f] = True
+                closure.append(f)
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -251,12 +261,19 @@ def load_group(text: str) -> FiniteGroup:
     body = lines[3:]
     if len(body) != n:
         raise ValueError(f"expected {n} table rows, got {len(body)}")
+    # canonical spellings decode by one lookup; any other token (+1, 01,
+    # -0, out of range or not a number) goes through int() and validation
+    index = {str(v): v for v in range(n)}.__getitem__
     table = []
     for i, line in enumerate(body):
+        tokens = line.split()
         try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ValueError(f"table row {i} has a non-integer entry: {line!r}") from None
+            row = tuple(map(index, tokens))
+        except KeyError:
+            try:
+                row = [int(tok) for tok in tokens]
+            except ValueError:
+                raise ValueError(f"table row {i} has a non-integer entry: {line!r}") from None
         if len(row) != n:
             raise ValueError(f"table row {i} has {len(row)} entries, expected {n}")
         table.append(row)
@@ -356,36 +373,78 @@ def _close_partial_map(
     return mapping
 
 
-def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
-    """All automorphisms of g, exact, refused above the order cutoff and
-    when more than AUT_ORDER_CAP are found.
+def _automorphism_search(
+    g: FiniteGroup, members: Sequence[tuple[int, ...]]
+) -> tuple[GroupAutomorphism, ...]:
+    """The automorphisms of g that map every member to a member, sorted
+    by map: all of Aut(g) when members is empty.  Refused above the
+    order cutoff, and when more than AUT_ORDER_CAP are found.
 
-    Search assigns images to the generators validation found, pruned by
-    element order, and propagates each partial assignment across the
-    generated subgroup before descending.
+    The search assigns images to a base b_0, b_1, ... one level at a
+    time.  The base is greedy: the elements of the members in index
+    order, then the others, each joining when the subgroup H_(k-1) of
+    the earlier ones does not hold it.  With no members it is the
+    generators validation found.  Level k closes b_0..b_k -> t_0..t_k
+    by _close_partial_map over H_k, then checks each member that lies
+    in H_k and not in H_(k-1): its image must be a member.  The last
+    level's H is g, so a closure there is an automorphism that has
+    passed every member's check.
+
+    The pruning is exact.  Let sigma be an automorphism that permutes
+    the members (an injective map of the finite member set into itself
+    is onto).  An element's label, its order and the sorted sizes of
+    the members holding it, is sigma-invariant: sigma keeps orders, and
+    carries the members holding s one to one onto the members holding
+    sigma(s), keeping their sizes.  So sigma(b_k) has b_k's label and
+    is among the candidates.  A homomorphism on H_k is fixed by its
+    values on b_0..b_k, so the closure is sigma on H_k, and a member
+    inside H_k has the image under sigma that the check reads.  Every
+    branch that is cut therefore holds no such sigma.
     """
     if g.order > AUT_GROUP_ORDER_CUTOFF:
         raise CutoffExceeded(
             f"group order {g.order} exceeds the automorphism search cutoff {AUT_GROUP_ORDER_CUTOFF}"
         )
-    gens = g.generators
-    if not gens:
-        return (GroupAutomorphism(tuple(range(g.order))),)
-    orders = [element_order(g, a) for a in range(g.order)]
-    candidates = [
-        [t for t in range(g.order) if orders[t] == orders[s]] for s in gens
-    ]
+    n = g.order
+    table = g.table
+    sizes: list[list[int]] = [[] for _ in range(n)]
+    for m in members:
+        for s in m:
+            sizes[s].append(len(m))
+    labels = [(element_order(g, a), tuple(sorted(sizes[a]))) for a in range(n)]
+    # greedy base as in _validate_table, over the members' elements and
+    # then the others; checks[k] holds the members that first lie inside
+    # H_k.  The member (0,) maps to itself.
+    reached = [False] * n
+    reached[0] = True
+    closure = [0]
+    base: list[int] = []
+    checks: list[list[tuple[int, ...]]] = []
+    pending = [m for m in members if len(m) > 1]
+    for a in sorted(range(1, n), key=lambda e: not sizes[e]):
+        if reached[a]:
+            continue
+        base.append(a)
+        _grow_closure(table, base, reached, closure)
+        inside = [m for m in pending if all(reached[s] for s in m)]
+        checks.append(inside)
+        pending = [m for m in pending if m not in inside]
+    if not base:
+        return (GroupAutomorphism(tuple(range(n))),)
+    candidates = [[t for t in range(n) if labels[t] == labels[s]] for s in base]
+    member_set = frozenset(members)
     found: list[GroupAutomorphism] = []
 
     def descend(k: int, images: list[int]) -> None:
         for t in candidates[k]:
             images.append(t)
-            mapping = _close_partial_map(g, gens[: k + 1], images)
-            if mapping is not None:
-                if k + 1 < len(gens):
+            mapping = _close_partial_map(g, base[: k + 1], images)
+            if mapping is not None and all(
+                tuple(sorted(mapping[s] for s in m)) in member_set for m in checks[k]
+            ):
+                if k + 1 < len(base):
                     descend(k + 1, images)
                 else:
-                    # gens generate g, so the closure maps every element
                     found.append(GroupAutomorphism(tuple(mapping)))
                     if len(found) > AUT_ORDER_CAP:
                         raise CutoffExceeded(f"group automorphisms over cap {AUT_ORDER_CAP}")
@@ -393,6 +452,12 @@ def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
 
     descend(0, [])
     return tuple(sorted(found, key=lambda a: a.map))
+
+
+def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
+    """All automorphisms of g, exact, sorted by map: the search of
+    _automorphism_search with no members to preserve."""
+    return _automorphism_search(g, ())
 
 
 def inner_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:

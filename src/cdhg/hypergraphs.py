@@ -9,6 +9,7 @@ share one edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .groups import CutoffExceeded, FiniteGroup
@@ -65,10 +66,16 @@ def cd_construct(g: FiniteGroup, x: CayleyHyperset) -> Dihypergraph:
     """
     if x.group_order != g.order:
         raise ValueError(f"hyperset is over order {x.group_order}, group has order {g.order}")
+    # the translate m*h is column h of the table read at m's elements;
+    # itemgetter of one index returns no tuple, so {0}*h = (h,) is apart
+    getters = [itemgetter(*m) for m in x.members if len(m) > 1]
+    singleton = (0,) in x.members
     arcs = set()
-    for h in g.elements():
-        for m in x.members:
-            arcs.add((h, right_translate(g, m, h)))
+    for h, column in enumerate(zip(*g.table)):
+        if singleton:
+            arcs.add((h, (h,)))
+        for get in getters:
+            arcs.add((h, tuple(sorted(get(column)))))
     return Dihypergraph(vertex_count=g.order, arcs=frozenset(arcs))
 
 
@@ -239,9 +246,10 @@ def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[in
 
 def dump_dihypergraph(h: Dihypergraph) -> str:
     """Render the dihypergraph dump format, arcs sorted by vertex then edge."""
+    label = [str(v) for v in range(h.vertex_count)]
     lines = [f"dihypergraph {h.vertex_count}"]
     for v, e in h.sorted_arcs():
-        lines.append(f"arc {v} : " + " ".join(str(u) for u in e))
+        lines.append(f"arc {label[v]} : " + " ".join([label[u] for u in e]))
     return "\n".join(lines) + "\n"
 
 
@@ -249,32 +257,44 @@ def load_dihypergraph(text: str) -> Dihypergraph:
     """Parse the dihypergraph dump format back into a value.
 
     Arcs loaded from text are not required to place the vertex inside its
-    edge, unlike arcs built by cd_construct.
+    edge, unlike arcs built by cd_construct.  The header is exactly
+    ``dihypergraph <n>`` and an arc line exactly ``arc <v> : <vertices>``.
+    Canonical indices decode by one lookup, which also does the range
+    check; any other token (+1, 01, -0, out of range or not a number)
+    goes through int().  The lookup holds no more entries than the text
+    has characters, so a large vertex count alone costs nothing.
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln.partition("#")[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("dihypergraph "):
         raise ValueError("expected 'dihypergraph <n>' on the first line")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, count = lines[0].split()
+        n = int(count)
+    except ValueError:
         raise ValueError(f"bad vertex count in {lines[0]!r}") from None
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    lookup = {str(u): u for u in range(min(n, len(text)))}.__getitem__
     arcs = set()
     for ln in lines[1:]:
-        parts = ln.split(":")
-        if len(parts) != 2 or not parts[0].strip().startswith("arc "):
+        head, colon, tail = ln.partition(":")
+        words = head.split()
+        if not colon or ":" in tail or not head.startswith("arc ") or len(words) < 2:
             raise ValueError(f"expected 'arc <v> : <vertices>', got {ln!r}")
+        if len(words) > 2:
+            raise ValueError(f"bad arc line {ln!r}")
         try:
-            v = int(parts[0].split()[1])
-            edge = tuple(sorted({int(tok) for tok in parts[1].split()}))
-        except (IndexError, ValueError):
-            raise ValueError(f"bad arc line {ln!r}") from None
+            v, *edge = map(lookup, [words[1], *tail.split()])
+        except KeyError:
+            try:
+                v, *edge = map(int, [words[1], *tail.split()])
+            except ValueError:
+                raise ValueError(f"bad arc line {ln!r}") from None
+            bad = [u for u in (v, *sorted(set(edge))) if not 0 <= u < n]
+            if bad and edge:
+                raise ValueError(f"vertex {bad[0]} out of range 0..{n - 1} in {ln!r}")
         if not edge:
             raise ValueError(f"empty edge in arc line {ln!r}")
-        bad = [u for u in (v, *edge) if u < 0 or u >= n]
-        if bad:
-            raise ValueError(f"vertex {bad[0]} out of range 0..{n - 1} in {ln!r}")
-        arcs.add((v, edge))
+        arcs.add((v, tuple(sorted(set(edge)))))
     return Dihypergraph(vertex_count=n, arcs=frozenset(arcs))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import FiniteGroup, GroupAutomorphism, group_automorphisms, inner_automorphisms
+from .groups import FiniteGroup, GroupAutomorphism, _automorphism_search, inner_automorphisms
 
 __all__ = [
     "CayleyHyperset",
@@ -147,13 +147,15 @@ def _member_image(aut: GroupAutomorphism, member: Member) -> Member:
 
 
 def aut_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[GroupAutomorphism, ...]:
-    """Group automorphisms that permute the members of x."""
-    member_set = x.member_set()
-    return tuple(
-        a
-        for a in group_automorphisms(g)
-        if all(_member_image(a, m) in member_set for m in x.members)
-    )
+    """Group automorphisms that permute the members of x, sorted by map.
+
+    They come from the automorphism search itself, pruned by x: a base
+    element maps only to elements of its order lying in members of the
+    same sizes, and each member is checked as soon as the images chosen
+    fix its image.  Refused as group_automorphisms is, except that the
+    count cap counts only the automorphisms that preserve x.
+    """
+    return _automorphism_search(g, x.members)
 
 
 def inn_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[GroupAutomorphism, ...]:

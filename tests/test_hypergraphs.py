@@ -217,6 +217,14 @@ def test_load_rejects_bad_input():
         load_dihypergraph("arc 0 : 1\n")
     with pytest.raises(ValueError):
         load_dihypergraph("dihypergraph 2\narc 0 :\n")
+    # a second vertex before the colon, or a word after the count, is not
+    # dropped but refused
+    with pytest.raises(ValueError) as err:
+        load_dihypergraph("dihypergraph 3\narc 0 1 : 2\n")
+    assert str(err.value) == "bad arc line 'arc 0 1 : 2'"
+    with pytest.raises(ValueError) as err:
+        load_dihypergraph("dihypergraph 3 junk\n")
+    assert str(err.value) == "bad vertex count in 'dihypergraph 3 junk'"
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,11 @@
 """Hypersets: validation, translate closure, equivalence, preserving maps."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdhg.groups
 import oracles
 from cdhg import (
     are_cayley_equivalent,
@@ -11,6 +14,7 @@ from cdhg import (
     cayley_equivalence_classes,
     census_corpus,
     ch_construct,
+    direct_product,
     group_automorphisms,
     inn_g_x,
     inner_automorphisms,
@@ -172,6 +176,66 @@ def test_aut_g_x_of_all_pairs_is_everything():
     z5 = make_cyclic(5)
     x = validate_hyperset(z5, [[0, s] for s in range(1, 5)])
     assert {a.map for a in aut_g_x(z5, x)} == {a.map for a in group_automorphisms(z5)}
+
+
+@cache
+def brute_automorphisms(table):
+    return oracles.brute_group_automorphisms(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=instances())
+def test_aut_g_x_matches_the_brute_force_oracle(inst):
+    g, x = inst
+    members = x.member_set()
+    want = [
+        p for p in brute_automorphisms(g.table)
+        if all(tuple(sorted(p[s] for s in m)) in members for m in x.members)
+    ]
+    assert [a.map for a in aut_g_x(g, x)] == want
+
+
+def count_closures(monkeypatch):
+    """The generator tuples of every _close_partial_map call, in order."""
+    calls = []
+    original = cdhg.groups._close_partial_map
+
+    def counted(g, gens, images):
+        calls.append(tuple(gens))
+        return original(g, gens, images)
+
+    monkeypatch.setattr(cdhg.groups, "_close_partial_map", counted)
+    return calls
+
+
+def test_aut_g_x_prunes_the_search_by_the_hyperset(monkeypatch):
+    calls = count_closures(monkeypatch)
+    d19 = make_dihedral(19)
+    x = single_cayley_closure(d19, {0, 5})
+    # the two rotations 5 and 5^-1 may map to each other, each flip anywhere
+    assert len(aut_g_x(d19, x)) == 38
+    # 2 choices for the base's rotation 5, then 19 for the flip under each;
+    # listing Aut(D19) and filtering it made 360 closures
+    assert len(calls) <= 40
+    assert calls[0] == (5,)
+
+
+@pytest.mark.parametrize("g", CORPUS8, ids=lambda g: g.name)
+def test_group_automorphisms_search_over_the_validation_generators(g, monkeypatch):
+    calls = count_closures(monkeypatch)
+    group_automorphisms(g)
+    assert max(calls, key=len, default=()) == g.generators
+
+
+def test_aut_g_x_counts_only_the_preserving_automorphisms_against_the_cap():
+    z2 = make_cyclic(2)
+    z2_5 = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
+    # |GL(5,2)| = 9,999,360 is over the cap, but a flag of members of
+    # distinct sizes fixes each basis vector 1, 2, 4, 8, 16
+    flag = validate_hyperset(z2_5, [[0, 1], [0, 1, 2], [0, 1, 2, 4], [0, 1, 2, 4, 8], [0, 1, 2, 4, 8, 16]])
+    assert [a.map for a in aut_g_x(z2_5, flag)] == [tuple(range(32))]
+    # X = {{0, 1}} is still refused: 322,560 automorphisms fix the element
+    # 1 (tests/test_cli.py, test_analyze_refuses_group_automorphisms_over_cap)
 
 
 def test_inn_g_x_abelian_is_trivial():

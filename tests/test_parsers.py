@@ -1,0 +1,208 @@
+"""Non-canonical and hostile text for load_group and load_dihypergraph.
+
+Each text is drawn with its expected result known by construction: any
+accepted spelling of an index (+1, 01, -0), with comments, blank lines
+and extra whitespace around it, loads to the value its canonical text
+gives; one hostile token (not an integer, negative, or out of range)
+gives the message pinned below for it.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdhg import (
+    Dihypergraph,
+    FiniteGroup,
+    census_corpus,
+    dump_dihypergraph,
+    load_dihypergraph,
+    load_group,
+    serialize_group,
+)
+from conftest import dihypergraph_texts
+
+CORPUS8 = census_corpus(8)
+CORPUS10 = census_corpus(10)
+
+GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
+PADS = st.sampled_from(["", " ", "\t"])
+COLONS = st.sampled_from([" : ", ":", " :", ": ", " \t: "])
+NOISE = st.sampled_from(["", "   ", "# a comment", "  # indented 1 2 3"])
+NON_INTEGERS = st.sampled_from(["x", "1.0", "1e3", "0x1", "--1", "1-", "one"])
+
+
+def spellings(v):
+    """The ways of writing the integer v that int() reads as v."""
+    return st.sampled_from([str(v), f"+{v}", f"0{v}", f"00{v}", *(["-0"] if v == 0 else [])])
+
+
+def canonical(v):
+    return st.just(str(v))
+
+
+def hostile(n):
+    """(token, value): a token that is no index below n, with the integer
+    it spells, or None when it spells none."""
+    return st.one_of(
+        NON_INTEGERS.map(lambda t: (t, None)),
+        st.integers(-5, -1).map(lambda v: (str(v), v)),
+        # canonical out of range, which a lookup that ignores n would take
+        st.integers(n, n + 5).map(lambda v: (str(v), v)),
+        st.integers(n, n + 5).flatmap(lambda v: spellings(v).map(lambda t: (t, v))),
+    )
+
+
+def joined(draw, tokens):
+    """The tokens separated by drawn whitespace."""
+    return "".join(t + draw(GAPS) for t in tokens[:-1]) + tokens[-1]
+
+
+def noisy(draw, bodies):
+    """The text of the line bodies, each padded and perhaps commented,
+    with comment-only and blank lines drawn between them."""
+    out = []
+    for body in bodies:
+        out.extend(draw(st.lists(NOISE, max_size=1)))
+        line = draw(PADS) + body + draw(PADS)
+        out.append(line + draw(st.sampled_from(["", " # note", "#x 1 2"])))
+    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\n\n# end\n"]))
+
+
+@st.composite
+def group_texts(draw):
+    """(group, text, message): message is None when the text is a
+    spelling of the group, else the ValueError the text must raise."""
+    g = draw(st.sampled_from(CORPUS8))
+    n = g.order
+    # half the texts spell every index canonically, as serialize_group does
+    spell = draw(st.sampled_from([canonical, spellings]))
+    rows = [[draw(spell(v)) for v in row] for row in g.table]
+    bad = None
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j], value = draw(hostile(n))
+        bad = (i, j, value)
+    bodies = [joined(draw, row) for row in rows]
+    text = noisy(draw, [f"group {g.name}", f"order {draw(spellings(n))}", "table", *bodies])
+    if bad is None:
+        return g, text, None
+    i, j, value = bad
+    if value is None:
+        return g, text, f"table row {i} has a non-integer entry: {bodies[i]!r}"
+    return g, text, f"entry table[{i}][{j}] = {value} is out of range 0..{n - 1}"
+
+
+@st.composite
+def arc_texts(draw):
+    """(dihypergraph, text, message), as group_texts."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, st.lists(vertex, min_size=1, max_size=n)), max_size=6))
+    value = Dihypergraph(n, frozenset((v, tuple(sorted(set(e)))) for v, e in arcs))
+    spell = draw(st.sampled_from([canonical, spellings]))
+    tokens = [[draw(spell(v)), *(draw(spell(u)) for u in e)] for v, e in arcs]
+    bad = None
+    if arcs and draw(st.booleans()):
+        k = draw(st.integers(0, len(arcs) - 1))
+        at = draw(st.integers(0, len(tokens[k]) - 1))
+        tokens[k][at], spelled = draw(hostile(n))
+        bad = (k, spelled)
+    bodies = [
+        "arc" + draw(st.sampled_from([" ", "  ", " \t"])) + v + draw(COLONS) + joined(draw, edge)
+        for v, *edge in tokens
+    ]
+    text = noisy(draw, [f"dihypergraph {draw(spellings(n))}", *bodies])
+    if bad is None:
+        return value, text, None
+    k, spelled = bad
+    if spelled is None:
+        return value, text, f"bad arc line {bodies[k]!r}"
+    return value, text, f"vertex {spelled} out of range 0..{n - 1} in {bodies[k]!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=group_texts())
+def test_load_group_reads_every_spelling_and_names_the_bad_token(case):
+    g, text, message = case
+    if message is None:
+        loaded = load_group(text)
+        assert loaded == g and loaded.name == g.name
+        assert serialize_group(loaded) == serialize_group(g)
+    else:
+        with pytest.raises(ValueError) as err:
+            load_group(text)
+        assert str(err.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arc_texts())
+def test_load_dihypergraph_reads_every_spelling_and_names_the_bad_token(case):
+    h, text, message = case
+    if message is None:
+        loaded = load_dihypergraph(text)
+        assert loaded == h
+        assert dump_dihypergraph(loaded) == dump_dihypergraph(h)
+    else:
+        with pytest.raises(ValueError) as err:
+            load_dihypergraph(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("group Z2\norder 2\ntable\n0 1\n1 x\n", "table row 1 has a non-integer entry: '1 x'"),
+    ("group Z2\norder 2\ntable\n0 1\n1 -1\n", "entry table[1][1] = -1 is out of range 0..1"),
+    ("group Z2\norder 2\ntable\n0 1\n1 +2\n", "entry table[1][1] = 2 is out of range 0..1"),
+    ("group Z2\norder two\ntable\n0 1\n1 0\n", "order is not an integer: 'two'"),
+])
+def test_load_group_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        load_group(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dihypergraph 3\narc 0 : 1 x\n", "bad arc line 'arc 0 : 1 x'"),
+    ("dihypergraph 3\narc 0 : 1 -1\n", "vertex -1 out of range 0..2 in 'arc 0 : 1 -1'"),
+    # a non-integer is named before a vertex out of range, and an empty
+    # edge before either
+    ("dihypergraph 3\narc 3 : 1 x\n", "bad arc line 'arc 3 : 1 x'"),
+    ("dihypergraph 3\narc 5 :\n", "empty edge in arc line 'arc 5 :'"),
+    ("dihypergraph 3\narc 0 : 1 : 2\n", "expected 'arc <v> : <vertices>', got 'arc 0 : 1 : 2'"),
+    ("dihypergraph 3\narc : 1\n", "expected 'arc <v> : <vertices>', got 'arc : 1'"),
+    ("dihypergraph 3\narc\t0 : 1\n", "expected 'arc <v> : <vertices>', got 'arc\\t0 : 1'"),
+    ("dihypergraph -2\n", "vertex count must be nonnegative, got -2"),
+    ("dihypergraph x\n", "bad vertex count in 'dihypergraph x'"),
+])
+def test_load_dihypergraph_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        load_dihypergraph(text)
+    assert str(err.value) == message
+
+
+def test_load_dihypergraph_with_a_huge_vertex_count_stays_small():
+    n = 10**12
+    h = load_dihypergraph(f"dihypergraph {n}\narc {n - 1} : 0 5\n")
+    assert h == Dihypergraph(n, frozenset({(n - 1, (0, 5))}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.sampled_from(CORPUS10), data=st.data())
+def test_serialize_then_load_group_is_the_identity(g, data):
+    # relabel by a permutation fixing the identity, so the rows are no
+    # longer those the constructors wrote
+    p = [0, *data.draw(st.permutations(range(1, g.order)))]
+    table = [[0] * g.order for _ in range(g.order)]
+    for i in g.elements():
+        for j in g.elements():
+            table[p[i]][p[j]] = p[g.table[i][j]]
+    relabelled = FiniteGroup.from_table(g.name, table)
+    loaded = load_group(serialize_group(relabelled))
+    assert loaded == relabelled and loaded.name == relabelled.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=dihypergraph_texts())
+def test_dump_then_load_dihypergraph_is_the_identity(drawn):
+    n, arcs, _ = drawn
+    h = Dihypergraph(n, frozenset((v, tuple(sorted(e))) for v, e in arcs))
+    assert load_dihypergraph(dump_dihypergraph(h)) == h
