@@ -9,7 +9,6 @@ group presentations from regular automorphism subgroups.
 import importlib
 
 from .groups import (
-    AUT_GROUP_ORDER_CUTOFF,
     AUT_ORDER_CAP,
     CutoffExceeded,
     FiniteGroup,
@@ -83,7 +82,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AUT_GROUP_ORDER_CUTOFF",
     "AUT_ORDER_CAP",
     "AUT_VERTEX_CUTOFF",
     "AnalysisReport",

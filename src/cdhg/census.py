@@ -26,7 +26,6 @@ from .groups import (
 )
 from .hypersets import (
     CayleyHyperset,
-    aut_g_x,
     cayley_closure,
     cayley_equivalence_classes,
     inn_g_x,
@@ -361,7 +360,7 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                 in_aut = {
                     a.map for a in auts_g if Permutation(a.map) in aut_h
                 }
-                outer_match = in_aut == {a.map for a in aut_g_x(g, x)}
+                outer_match = in_aut == {a.map for a in report.aut_g_x}
                 inn_in_aut = {
                     a.map for a in inns_g if Permutation(a.map) in aut_h
                 }

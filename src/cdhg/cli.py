@@ -60,7 +60,7 @@ def build_analysis_report(
         except CutoffExceeded as exc:
             reason = str(exc)
         if aut_h is None:
-            # the group-side search has its own cutoff
+            # Aut(G, X) needs no vertex search; only the order cap refuses it
             try:
                 aut_g_x_order = str(len(aut_g_x(g, x)))
             except CutoffExceeded as exc:

@@ -8,12 +8,12 @@ value in hand is always a genuine group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
-    "AUT_GROUP_ORDER_CUTOFF",
     "AUT_ORDER_CAP",
     "CutoffExceeded",
     "FiniteGroup",
@@ -31,15 +31,9 @@ __all__ = [
     "inner_automorphisms",
 ]
 
-# Full automorphism-group search is refused above this group order.
-AUT_GROUP_ORDER_CUTOFF = 40
-
-# No automorphism group of larger order is listed: perms.aut_hypergraph
-# refuses one before listing any element (S8, 40,320, is the largest Aut
-# in the census below it).  The group-side search refuses when it finds
-# the automorphism after the cap among those it keeps: all of Aut(G) for
-# group_automorphisms (Z2^5 has 9,999,360), and only those preserving X
-# for hypersets.aut_g_x (Z2^5 with X = {{0, 1}} keeps 322,560).
+# _stabiliser_chain refuses a larger Aut(h) or Aut(G, X) by its order,
+# before listing any element.  S8 (40,320) is the largest Aut(h) in the
+# census; Z2^5 has 9,999,360 automorphisms, 322,560 preserving {{0, 1}}.
 AUT_ORDER_CAP = 50000
 
 
@@ -373,38 +367,142 @@ def _close_partial_map(
     return mapping
 
 
+def _orbit(
+    point: int, maps: Sequence[tuple[int, ...]], identity: tuple[int, ...]
+) -> dict[int, tuple[int, ...]]:
+    """Each point that products of maps carry point to, with the first
+    such product found breadth first, as an image tuple; point itself
+    gets the identity."""
+    orbit = {point: identity}
+    queue = [point]
+    for p in queue:
+        via = itemgetter(*orbit[p])
+        for m in maps:
+            q = m[p]
+            if q not in orbit:
+                # via(m) is orbit[p] then m, which sends point to q
+                orbit[q] = via(m)
+                queue.append(q)
+    return orbit
+
+
+def _products(
+    group: Iterable[tuple[int, ...]], reps: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The image tuples of s then r for s in group and r in reps, made on
+    demand, so a chain of these holds no level of a group in memory.
+    reps holds more than the identity, so n >= 2 and itemgetter(*s)(r)
+    is a tuple."""
+    for s in group:
+        yield from map(itemgetter(*s), reps)
+
+
+def _chain_products(
+    transversals: Sequence[tuple[tuple[int, ...], ...]], n: int
+) -> Iterable[tuple[int, ...]]:
+    """The image tuples of every product r_{m-1} then ... then r_0 with
+    r_k in transversals[k], made on demand; levels holding only the
+    identity add nothing."""
+    group: Iterable[tuple[int, ...]] = [tuple(range(n))]
+    for reps in reversed(transversals):
+        if len(reps) > 1:
+            group = _products(group, reps)
+    return group
+
+
+def _stabiliser_chain(
+    n: int, base: Sequence[int], first: Callable[[int, int], Optional[tuple[int, ...]]]
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[tuple[int, ...], ...]]:
+    """The transversals and the maps found of a permutation group G on
+    0..n-1 whose only element fixing each of base = b_0, b_1, ... is the
+    identity.  first(k, w) is the first map of G fixing b_0..b_(k-1) and
+    sending b_k to w, as an image tuple, or None.  Refused as 'aut order
+    N over cap AUT_ORDER_CAP' before any element is listed.
+
+    G^(k) holds the maps of G fixing each of b_0..b_(k-1), and T_k holds
+    one map of G^(k) per point of b_k's orbit under G^(k), the identity
+    first.  The levels are built from the last down to k = 0 (Sims 1970,
+    "Computational methods in the study of permutation groups"), and
+    found holds every map first has returned so far.  Each answer is
+    checked to fix what it was asked to, so a map found at level k'
+    fixes b_0..b_(k'-1), and at level k <= k' it lies in G^(k).  At
+    level k:
+
+    - a point in b_k's orbit under <found> is an image of b_k, and
+      b_0..b_(k-1), which G^(k) fixes, are none; neither is searched;
+    - for any other w, first(k, w) either yields a map of G^(k) sending
+      b_k to w, which joins found, or fails: then w is no image of b_k,
+      and nor is any point of w's orbit under <found>, since a
+      G^(k)-orbit is a union of <found>-orbits, so those are skipped.
+
+    So when the level ends, b_k's orbit under <found> is its whole orbit
+    under G^(k), and T_k lists one product of found per point of it.
+    Every such product fixes b_0..b_(k-1) and sends b_k to its own
+    point, so the products r_{m-1} then ... then r_0 with r_k in T_k
+    are distinct and |G| = prod |T_k|, with nothing listed.  found
+    generates G: an element g of G^(k) is s then r, with r in T_k
+    sending b_k where g does and s = g then r^-1 in G^(k+1), so by
+    induction from G^(m) = 1, G^(k) is generated by the maps found at
+    levels k and above.
+    """
+    identity = tuple(range(n))
+    found: list[tuple[int, ...]] = []
+    transversals = []
+    for k in reversed(range(len(base))):
+        b, fixed = base[k], base[:k]
+        orbit = _orbit(b, found, identity)
+        dead = set(fixed)
+        for w in range(n):
+            if w in orbit or w in dead:
+                continue
+            m = first(k, w)
+            if m is None:
+                dead.update(_orbit(w, found, identity))
+                continue
+            if m[b] != w or any(m[p] != p for p in fixed):
+                raise RuntimeError(
+                    f"stabiliser chain level {k} does not give distinct products: the map "
+                    f"found for {b} -> {w} must fix the base points before {b} and send {b} to {w}"
+                )
+            found.append(m)
+            orbit = _orbit(b, found, identity)
+        transversals.append((identity, *(orbit[v] for v in sorted(orbit) if v != b)))
+    transversals.reverse()
+    order = math.prod(map(len, transversals))
+    if order > AUT_ORDER_CAP:
+        raise CutoffExceeded(f"aut order {order} over cap {AUT_ORDER_CAP}")
+    return tuple(transversals), tuple(found)
+
+
 def _automorphism_search(
     g: FiniteGroup, members: Sequence[tuple[int, ...]]
 ) -> tuple[GroupAutomorphism, ...]:
     """The automorphisms of g that map every member to a member, sorted
-    by map: all of Aut(g) when members is empty.  Refused above the
-    order cutoff, and when more than AUT_ORDER_CAP are found.
+    by map: all of Aut(g) when members is empty, built and refused by
+    _stabiliser_chain over a base b_0, b_1, ... that generates g.
 
-    The search assigns images to a base b_0, b_1, ... one level at a
-    time.  The base is greedy: the elements of the members in index
-    order, then the others, each joining when the subgroup H_(k-1) of
-    the earlier ones does not hold it.  With no members it is the
-    generators validation found.  Level k closes b_0..b_k -> t_0..t_k
-    by _close_partial_map over H_k, then checks each member that lies
-    in H_k and not in H_(k-1): its image must be a member.  The last
-    level's H is g, so a closure there is an automorphism that has
-    passed every member's check.
+    The base is greedy: the elements of the members in index order,
+    then the others, each joining when the subgroup H_(k-1) of the
+    earlier ones does not hold it.  With no members it is the generators
+    validation found.  first(k, w) sends b_i to itself for i < k and
+    b_k to w if w has b_k's label, then the later base points depth
+    first over their candidates.  Level j closes b_0..b_j -> t_0..t_j by
+    _close_partial_map over H_j, then checks each member that lies in
+    H_j and not in H_(j-1): its image must be a member.  The last
+    level's H is g, so the first closure there that passes is an
+    automorphism that has passed every member's check.
 
     The pruning is exact.  Let sigma be an automorphism that permutes
     the members (an injective map of the finite member set into itself
     is onto).  An element's label, its order and the sorted sizes of
     the members holding it, is sigma-invariant: sigma keeps orders, and
     carries the members holding s one to one onto the members holding
-    sigma(s), keeping their sizes.  So sigma(b_k) has b_k's label and
-    is among the candidates.  A homomorphism on H_k is fixed by its
-    values on b_0..b_k, so the closure is sigma on H_k, and a member
-    inside H_k has the image under sigma that the check reads.  Every
+    sigma(s), keeping their sizes.  So sigma(b_j) has b_j's label and
+    is among the candidates.  A homomorphism on H_j is fixed by its
+    values on b_0..b_j, so the closure is sigma on H_j, and a member
+    inside H_j has the image under sigma that the check reads.  Every
     branch that is cut therefore holds no such sigma.
     """
-    if g.order > AUT_GROUP_ORDER_CUTOFF:
-        raise CutoffExceeded(
-            f"group order {g.order} exceeds the automorphism search cutoff {AUT_GROUP_ORDER_CUTOFF}"
-        )
     n = g.order
     table = g.table
     sizes: list[list[int]] = [[] for _ in range(n)]
@@ -429,29 +527,23 @@ def _automorphism_search(
         inside = [m for m in pending if all(reached[s] for s in m)]
         checks.append(inside)
         pending = [m for m in pending if m not in inside]
-    if not base:
-        return (GroupAutomorphism(tuple(range(n))),)
     candidates = [[t for t in range(n) if labels[t] == labels[s]] for s in base]
     member_set = frozenset(members)
-    found: list[GroupAutomorphism] = []
 
-    def descend(k: int, images: list[int]) -> None:
-        for t in candidates[k]:
-            images.append(t)
-            mapping = _close_partial_map(g, base[: k + 1], images)
-            if mapping is not None and all(
-                tuple(sorted(mapping[s] for s in m)) in member_set for m in checks[k]
-            ):
-                if k + 1 < len(base):
-                    descend(k + 1, images)
-                else:
-                    found.append(GroupAutomorphism(tuple(mapping)))
-                    if len(found) > AUT_ORDER_CAP:
-                        raise CutoffExceeded(f"group automorphisms over cap {AUT_ORDER_CAP}")
-            images.pop()
+    def extend(j: int, images: list[int]) -> Optional[tuple[int, ...]]:
+        mapping = _close_partial_map(g, base[: j + 1], images)
+        if mapping is None or not all(
+            tuple(sorted(mapping[s] for s in m)) in member_set for m in checks[j]
+        ):
+            return None
+        if j + 1 == len(base):
+            return tuple(mapping)
+        return next(filter(None, (extend(j + 1, [*images, t]) for t in candidates[j + 1])), None)
 
-    descend(0, [])
-    return tuple(sorted(found, key=lambda a: a.map))
+    transversals, _ = _stabiliser_chain(
+        n, base, lambda k, w: extend(k, [*base[:k], w]) if labels[w] == labels[base[k]] else None
+    )
+    return tuple(GroupAutomorphism(m) for m in sorted(_chain_products(transversals, n)))
 
 
 def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:

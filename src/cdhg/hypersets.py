@@ -152,8 +152,8 @@ def aut_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[GroupAutomorphism, ...]:
     They come from the automorphism search itself, pruned by x: a base
     element maps only to elements of its order lying in members of the
     same sizes, and each member is checked as soon as the images chosen
-    fix its image.  Refused as group_automorphisms is, except that the
-    count cap counts only the automorphisms that preserve x.
+    fix its image.  Refused by the order cap when more than
+    AUT_ORDER_CAP automorphisms preserve x, before any is listed.
     """
     return _automorphism_search(g, x.members)
 

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional
 
-from .groups import AUT_ORDER_CAP, CutoffExceeded, FiniteGroup
+from .groups import FiniteGroup, GroupAutomorphism, _chain_products, _stabiliser_chain
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
 from .hypergraphs import Dihypergraph, _completion_search, cd_construct
 
@@ -76,9 +76,7 @@ class PermGroup:
     generators, when present, is a subset whose closure is the whole
     group; normalizer tests conjugation on it instead of on every
     element.  A chain's generators are the maps its search found, a
-    strong generating set: those found at levels k and above generate
-    the maps fixing 0..k-1, and every transversal map is a product of
-    them.
+    strong generating set (groups._stabiliser_chain).
     """
 
     def __init__(
@@ -157,110 +155,17 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
-def _products(
-    group: Iterable[tuple[int, ...]], reps: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """The image tuples of s then r for s in group and r in reps, made on
-    demand, so a chain of these holds no level of a group in memory.
-    reps holds more than the identity, so n >= 2 and itemgetter(*s)(r)
-    is a tuple."""
-    for s in group:
-        yield from map(itemgetter(*s), reps)
-
-
-def _chain_products(
-    transversals: Sequence[tuple[tuple[int, ...], ...]], n: int
-) -> Iterable[tuple[int, ...]]:
-    """The image tuples of every product r_{n-1} then ... then r_0 with
-    r_k in transversals[k], made on demand; levels holding only the
-    identity add nothing."""
-    group: Iterable[tuple[int, ...]] = [tuple(range(n))]
-    for reps in reversed(transversals):
-        if len(reps) > 1:
-            group = _products(group, reps)
-    return group
-
-
-def _orbit(
-    point: int, maps: Sequence[tuple[int, ...]], identity: tuple[int, ...]
-) -> dict[int, tuple[int, ...]]:
-    """Each point that products of maps carry point to, with the first
-    such product found breadth first, as an image tuple; point itself
-    gets the identity."""
-    orbit = {point: identity}
-    queue = [point]
-    for p in queue:
-        via = itemgetter(*orbit[p])
-        for m in maps:
-            q = m[p]
-            if q not in orbit:
-                # via(m) is orbit[p] then m, which sends point to q
-                orbit[q] = via(m)
-                queue.append(q)
-    return orbit
-
-
 def aut_hypergraph(h: Dihypergraph) -> PermGroup:
-    """Every vertex permutation preserving the arc set, as a stabiliser
-    chain.  Refused as 'over cutoff (n > AUT_VERTEX_CUTOFF)' by the
-    completion search, and as 'aut order N over cap AUT_ORDER_CAP' from
-    the chain, before any element is listed.
-
-    G^(k) holds the automorphisms fixing each of 0..k-1, and T_k holds
-    one map of G^(k) per point of k's orbit under G^(k).  The levels are
-    built from k = n-1 down to 0 (Sims 1970), and found holds every map
-    the completion search has returned so far.  Each answer is checked
-    to extend its prefix, so a map found at level k' fixes 0..k'-1, and
-    at level k <= k' it lies in G^(k).  At level k:
-
-    - a point in k's orbit under <found> is an image of k, and no
-      search is made for it;
-    - for any other w > k, one search for the first arc-preserving
-      completion of (0, ..., k-1, w) either yields a map of G^(k)
-      sending k to w, which joins found, or fails: then w is no image
-      of k, and nor is any point of w's orbit under <found>, since a
-      G^(k)-orbit is a union of <found>-orbits, so those are skipped.
-
-    So when the level ends, k's orbit under <found> is its whole orbit
-    under G^(k), and T_k lists one product of found per point of it,
-    identity first.  Every such product fixes 0..k-1 and sends k to its
-    own point, so the products r_{n-1} then ... then r_0 with r_k in T_k
-    are distinct and |Aut| = prod |T_k|, with nothing listed.  found
-    generates Aut: an element g of G^(k) is s then r, with r in T_k
-    sending k where g does and s = g then r^-1 in G^(k+1), so by
-    induction from G^(n) = 1, G^(k) is generated by the maps found at
-    levels k and above.  The isomorphism test shares the search
-    (hypergraph_isomorphic).
-    """
+    """Every vertex permutation preserving the arc set, as the chain
+    groups._stabiliser_chain builds over the base 0..n-1 from the first
+    arc-preserving completion of (0, ..., k-1, w), the search the
+    isomorphism test shares.  Refused as 'over cutoff (n >
+    AUT_VERTEX_CUTOFF)' by that search, and by the order cap."""
     n = h.vertex_count
-    first = _completion_search(h, h)
-    identity = tuple(range(n))
-    found: list[tuple[int, ...]] = []
-    transversals = []
-    for k in reversed(range(n)):
-        orbit = _orbit(k, found, identity)
-        dead: set[int] = set()
-        for w in range(k + 1, n):
-            if w in orbit or w in dead:
-                continue
-            m = first((*range(k), w))
-            if m is None:
-                dead.update(_orbit(w, found, identity))
-                continue
-            if m[:k] != identity[:k] or m[k] != w:
-                raise RuntimeError(
-                    f"stabiliser chain level {k} does not give distinct products: "
-                    f"the map found for {k} -> {w} must fix 0..{k - 1} and send {k} to {w}"
-                )
-            found.append(m)
-            orbit = _orbit(k, found, identity)
-        transversals.append(tuple(orbit[v] for v in sorted(orbit)))
-    transversals.reverse()
-    order = math.prod(len(reps) for reps in transversals)
-    if order > AUT_ORDER_CAP:
-        raise CutoffExceeded(f"aut order {order} over cap {AUT_ORDER_CAP}")
+    search = _completion_search(h, h)
+    transversals, found = _stabiliser_chain(n, range(n), lambda k, w: search((*range(k), w)))
     generators = tuple(map(Permutation, found))
-    return PermGroup(degree=n, generators=generators or None, transversals=tuple(transversals))
+    return PermGroup(degree=n, generators=generators or None, transversals=transversals)
 
 
 def _is_semiregular(images: tuple[int, ...]) -> bool:
@@ -473,13 +378,17 @@ class Theorem2Report:
 
     group_order: int
     aut_h_order: int
-    aut_g_x_order: int
+    aut_g_x: tuple[GroupAutomorphism, ...]
     normalizer_order: int
     product_factorization: bool
     order_matches: bool
     trivial_intersection: bool
     g_r_normal: bool
     stabilizer_matches: bool
+
+    @property
+    def aut_g_x_order(self) -> int:
+        return len(self.aut_g_x)
 
     @property
     def all_pass(self) -> bool:
@@ -506,7 +415,8 @@ def verify_theorem2(
         aut = aut_hypergraph(cd_construct(g, x))
     g_r = right_regular(g)
     norm = normalizer(aut, g_r)
-    sigma = [Permutation(a.map) for a in aut_g_x(g, x)]
+    auts = aut_g_x(g, x)
+    sigma = [Permutation(a.map) for a in auts]
     product = {s.then(t) for s in sigma for t in g_r.perms}
     # conjugation by q is an injective homomorphism, so it sends
     # <generators> = G_R onto G_R once it sends each generator into G_R
@@ -517,7 +427,7 @@ def verify_theorem2(
     return Theorem2Report(
         group_order=g.order,
         aut_h_order=aut.order,
-        aut_g_x_order=len(sigma),
+        aut_g_x=auts,
         normalizer_order=norm.order,
         product_factorization=product == norm.perms,
         order_matches=norm.order == g.order * len(sigma),

@@ -7,6 +7,7 @@ a bug in the library cannot hide inside its own oracle.
 """
 
 from itertools import permutations
+from math import gcd
 
 
 def arc_set(arcs):
@@ -60,6 +61,41 @@ def brute_group_automorphisms(table):
         if all(p[table[i][j]] == table[p[i]][p[j]] for i in range(n) for j in range(n)):
             found.append(p)
     return found
+
+
+def totient(n):
+    """Euler's phi by trial division: |Aut(Z_n)|."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def abelian_aut_order(cyclic_orders):
+    """|Aut| of the direct product of cyclic groups of these orders, by
+    the counting formula of Hillar and Rhea ("Automorphisms of finite
+    abelian groups", 2007), applied to each primary part.  For a p-group
+    with exponents e_1 <= ... <= e_m, d_k = max{l : e_l = e_k} and
+    c_k = min{l : e_l = e_k} (1-based),
+    |Aut| = prod_k (p^d_k - p^(k-1)) * prod_j p^(e_j (m - d_j))
+            * prod_i p^((e_i - 1)(m - c_i + 1))."""
+    exponents = {}
+    for n in cyclic_orders:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    order = 1
+    for p, es in exponents.items():
+        es.sort()
+        m = len(es)
+        for k, e in enumerate(es, start=1):
+            d = max(l for l in range(1, m + 1) if es[l - 1] == e)
+            c = min(l for l in range(1, m + 1) if es[l - 1] == e)
+            order *= (p**d - p ** (k - 1)) * p ** (e * (m - d)) * p ** ((e - 1) * (m - c + 1))
+    return order
 
 
 def brute_is_group(table):

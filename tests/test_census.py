@@ -109,6 +109,27 @@ def test_run_census_searches_each_arc_set_once(monkeypatch):
     assert text.endswith("result: PASS\n")
 
 
+def test_run_census_reads_aut_g_x_once_per_instance(monkeypatch):
+    import cdhg.census
+    import cdhg.perms
+
+    calls = []
+    original = cdhg.perms.aut_g_x
+
+    def counted(g, x):
+        calls.append((g.name, x.members))
+        return original(g, x)
+
+    # the census reads Aut(G, X) from the Theorem 2 report; should it call
+    # aut_g_x itself again, the wrapper set on it here counts that too
+    monkeypatch.setattr(cdhg.census, "aut_g_x", counted, raising=False)
+    monkeypatch.setattr(cdhg.perms, "aut_g_x", counted)
+    result = run_census(max_order=7, max_member_size=3)
+    assert result.instance_count == 61
+    assert len(calls) == 61
+    assert result.render().endswith("result: PASS\n")
+
+
 def test_run_census_tallies_a_failed_recovery(monkeypatch):
     # both the translations' round trip and every other regular
     # subgroup's are tallied as failures instead of raising

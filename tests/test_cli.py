@@ -119,7 +119,7 @@ def test_analyze_no_aut(capsys):
 
 def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
     # the backtracking search refuses more than 12 vertices, and the line
-    # says so; the group-side search has its own, much higher, cutoff
+    # says so; the group-side search is refused only by the order cap
     group_file = tmp_path / "z21.group"
     group_file.write_text(serialize_group(make_cyclic(21)))
     hyperset_file = tmp_path / "step.hyperset"
@@ -137,20 +137,38 @@ def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
     assert "aut_g_x: 1" in lines
 
 
-def test_analyze_refuses_group_automorphisms_over_cap(capsys, tmp_path):
-    # Z2^5 is under the group order cutoff, but its 9,999,360
-    # automorphisms are refused as the count passes the cap
-    z2 = make_cyclic(2)
-    g = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
-    group_file = tmp_path / "z2_5.group"
+def elementary_abelian_2(rank):
+    g = make_cyclic(2)
+    for _ in range(rank - 1):
+        g = direct_product(g, make_cyclic(2))
+    return g
+
+
+def analyze_step(capsys, tmp_path, g):
+    """The analyze report lines of g with X = {{0, 1}}."""
+    group_file = tmp_path / "g.group"
     group_file.write_text(serialize_group(g))
     hyperset_file = tmp_path / "step.hyperset"
     hyperset_file.write_text("0 1\n")
     rc, out, _ = run(capsys, "analyze", "--group", str(group_file), "--hyperset", str(hyperset_file))
     assert rc == 0
-    lines = out.splitlines()
+    return out.splitlines()
+
+
+def test_analyze_refuses_group_automorphisms_over_cap(capsys, tmp_path):
+    # X = {{0, 1}} is preserved by the 322,560 automorphisms of Z2^5
+    # that fix 1, and the cap refuses them by the order of their chain
+    lines = analyze_step(capsys, tmp_path, elementary_abelian_2(5))
     assert "aut_h: skipped: over cutoff (32 > 12)" in lines
-    assert "aut_g_x: skipped: group automorphisms over cap 50000" in lines
+    assert "aut_g_x: skipped: aut order 322560 over cap 50000" in lines
+
+
+def test_analyze_refuses_group_automorphisms_of_z2_7(capsys, tmp_path):
+    # |GL(7,2)| / 127 automorphisms of Z2^7 fix 1; the refusal names
+    # their number without listing one
+    lines = analyze_step(capsys, tmp_path, elementary_abelian_2(7))
+    assert "aut_h: skipped: over cutoff (128 > 12)" in lines
+    assert "aut_g_x: skipped: aut order 1290157424640 over cap 50000" in lines
 
 
 def test_analyze_is_deterministic(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cdhg import (
-    AUT_GROUP_ORDER_CUTOFF,
     CutoffExceeded,
     FiniteGroup,
     census_corpus,
@@ -314,8 +313,48 @@ def test_group_automorphisms_closed_under_composition(g):
 
 
 def test_group_automorphisms_refuses_large_orders():
-    with pytest.raises(CutoffExceeded):
-        group_automorphisms(make_cyclic(AUT_GROUP_ORDER_CUTOFF + 1))
+    # the group's order does not refuse it: Z41 has phi(41) = 40
+    assert len(group_automorphisms(make_cyclic(41))) == 40
+    # |GL(5,2)| is refused from the chain's order, before any is listed
+    z2 = make_cyclic(2)
+    g = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
+    with pytest.raises(CutoffExceeded, match=r"^aut order 9999360 over cap 50000$"):
+        group_automorphisms(g)
+
+
+# The build benchmark's group shapes of order 41 to 64, which the search
+# used to refuse by their order alone
+BUILD_SHAPES_41_64 = [
+    *(f"Z{n}" for n in range(41, 65)),
+    *(f"D{n}" for n in range(21, 33)),
+    *(f"Z{a}xZ{b}" for a in range(2, 33) for b in range(a, 33) if 41 <= a * b <= 64),
+]
+
+
+def test_abelian_aut_order_oracle_matches_brute_force():
+    for g in CORPUS8:
+        if re.fullmatch(r"Z\d+(xZ\d+)*", g.name):
+            orders = [int(f) for f in g.name[1:].split("xZ")]
+            want = len(oracles.brute_group_automorphisms([list(row) for row in g.table]))
+            assert oracles.abelian_aut_order(orders) == want, g.name
+    assert all(oracles.abelian_aut_order([n]) == oracles.totient(n) for n in range(1, 65))
+
+
+@pytest.mark.parametrize("name", BUILD_SHAPES_41_64)
+def test_group_automorphisms_count_by_identities_over_order_40(name):
+    # |Aut(Z_n)| = phi(n), |Aut(D_n)| = n phi(n) for n >= 3, and the
+    # products of two cyclic groups by the Hillar-Rhea formula
+    if name.startswith("D"):
+        n = int(name[1:])
+        g, want = make_dihedral(n), n * oracles.totient(n)
+    else:
+        orders = [int(f) for f in name[1:].split("xZ")]
+        g = make_cyclic(orders[0])
+        for m in orders[1:]:
+            g = direct_product(g, make_cyclic(m))
+        want = oracles.totient(orders[0]) if len(orders) == 1 else oracles.abelian_aut_order(orders)
+    assert 41 <= g.order <= 64
+    assert len(group_automorphisms(g)) == want
 
 
 def test_group_automorphisms_of_z2_4_stay_under_the_count_cap():

@@ -142,12 +142,12 @@ def test_aut_refuses_over_cutoff():
 def test_aut_refuses_large_order_before_enumerating(monkeypatch):
     # the loops X = {{0}} give Aut = S_n, whose order the stabiliser chain
     # knows before a single product is made
-    import cdhg.perms
+    import cdhg.groups
 
     def no_products(*args):
         raise AssertionError("Aut was enumerated")
 
-    monkeypatch.setattr(cdhg.perms, "_products", no_products)
+    monkeypatch.setattr(cdhg.groups, "_products", no_products)
     for n, order in ((9, 362880), (12, 479001600)):
         zn = make_cyclic(n)
         h = cd_construct(zn, validate_hyperset(zn, [[0]]))
@@ -219,6 +219,44 @@ def test_aut_rejects_a_chain_that_repeats_an_image(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="distinct products"):
         aut_hypergraph(Dihypergraph(vertex_count=4, arcs=frozenset()))
+
+
+def test_aut_rejects_a_chain_map_that_moves_a_fixed_point(monkeypatch):
+    # the map found for 1 -> 2 sends 1 to 2 but moves the fixed point 0,
+    # so the products of its orbit's transversal would repeat
+    import cdhg.perms
+    from cdhg import Dihypergraph
+
+    monkeypatch.setattr(
+        cdhg.perms,
+        "_completion_search",
+        lambda a, b: lambda prefix: (1, 2, 0) if len(prefix) == 2 else None,
+    )
+    with pytest.raises(RuntimeError, match="distinct products"):
+        aut_hypergraph(Dihypergraph(vertex_count=3, arcs=frozenset()))
+
+
+def test_stabiliser_chain_lists_the_identity_first():
+    # S4 over the base 3, 1, 2, whose points are not the least of their
+    # orbits; first answers with the least permutation that fits
+    from cdhg.groups import _stabiliser_chain
+
+    base = (3, 1, 2)
+
+    def first(k, w):
+        return next(
+            (p for p in permutations(range(4))
+             if p[base[k]] == w and all(p[b] == b for b in base[:k])),
+            None,
+        )
+
+    transversals, found = _stabiliser_chain(4, base, first)
+    assert [len(reps) for reps in transversals] == [4, 3, 2]
+    for k, reps in enumerate(transversals):
+        assert reps[0] == (0, 1, 2, 3)
+        assert all(r[b] == b for r in reps for b in base[:k])
+        assert len({r[base[k]] for r in reps}) == len(reps)
+    assert closure(4, *found).order == 24
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -332,17 +370,17 @@ def test_analyze_lists_only_the_point_stabiliser_of_aut(monkeypatch):
     # Aut of the Z8 loops is S8; the normalizer of the translations
     # needs only the stabiliser of 0, 8!/8 = 5040 of its elements, and
     # every level of the chain below it lists elements of that stabiliser
-    import cdhg.perms
+    import cdhg.groups
 
     built = set()
-    products = cdhg.perms._products
+    products = cdhg.groups._products
 
     def counted(group, reps):
         for p in products(group, reps):
             built.add(p)
             yield p
 
-    monkeypatch.setattr(cdhg.perms, "_products", counted)
+    monkeypatch.setattr(cdhg.groups, "_products", counted)
     z8 = make_cyclic(8)
     lines = build_analysis_report(z8, validate_hyperset(z8, [[0]])).render().splitlines()
     assert "aut_h: 40320" in lines
