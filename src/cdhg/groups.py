@@ -410,6 +410,39 @@ def _chain_products(
     return group
 
 
+def _chain_search(
+    transversals: Sequence[tuple[tuple[int, ...], ...]],
+    step: Callable[[int, tuple[int, ...], object], object],
+    state: object,
+) -> list[tuple[int, ...]]:
+    """The image tuples of the products r_{m-1} then ... then r_0 with
+    r_k in transversals[k] that every level's step lets through, found
+    depth first from r_0 down.
+
+    At level k the partial product x is r_k then ... then r_0, and the
+    levels below fix 0..k, so x's images of 0..k are those of every
+    product under it.  step(k, x, state) sees each partial product, at
+    every level, and returns the state for level k+1, or None to cut
+    every product under x.  Each T_k lists the identity first, so that
+    r composes nothing."""
+    out: list[tuple[int, ...]] = []
+    last = len(transversals) - 1
+
+    def descend(k: int, x: tuple[int, ...], state: object) -> None:
+        for i, r in enumerate(transversals[k]):
+            y = itemgetter(*r)(x) if i else x
+            below = step(k, y, state)
+            if below is None:
+                continue
+            if k == last:
+                out.append(y)
+            else:
+                descend(k + 1, y, below)
+
+    descend(0, transversals[0][0], state)
+    return out
+
+
 def _stabiliser_chain(
     n: int, base: Sequence[int], first: Callable[[int, int], Optional[tuple[int, ...]]]
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[tuple[int, ...], ...]]:

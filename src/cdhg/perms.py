@@ -8,11 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Optional
 
-from .groups import FiniteGroup, GroupAutomorphism, _chain_products, _stabiliser_chain
+from .groups import (
+    FiniteGroup,
+    GroupAutomorphism,
+    _chain_products,
+    _chain_search,
+    _stabiliser_chain,
+)
 from .hypersets import CayleyHyperset, aut_g_x, validate_hyperset
 from .hypergraphs import Dihypergraph, _completion_search, cd_construct
 
@@ -70,8 +76,11 @@ class PermGroup:
     same point.  Every element is then one product r_{n-1} then ... then
     r_0 with r_k in T_k, so the order is prod |T_k|, membership is a
     sift through the levels, and perms is listed from the chain only
-    when a caller first reads it.  aut_hypergraph returns such a group;
-    every other constructor here lists its elements.
+    when a caller first reads it.  normalizer and find_regular_subgroups
+    do not read it: they walk the chain by groups._chain_search, which
+    cuts a partial product at the first level that rules it out.
+    aut_hypergraph returns such a group; every other constructor here
+    lists its elements.
 
     generators, when present, is a subset whose closure is the whole
     group; normalizer tests conjugation on it instead of on every
@@ -168,23 +177,37 @@ def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     return PermGroup(degree=n, generators=generators or None, transversals=transversals)
 
 
+def _cycle_step(k: int, x: tuple[int, ...], length: int) -> Optional[int]:
+    """The semiregularity rule at level k of a chain search, where the
+    images of 0..k are final: length is that of the cycles closed so far,
+    0 before any has closed; the result is the length after level k, or
+    None when x's cycles cannot all share one length.
+
+    The walk from k follows final images.  A cycle closes at its largest
+    point, so back at k it has closed, and must have the common length;
+    a walk that has taken length steps without coming back lies on a
+    longer cycle.  At the last level every cycle has closed, so exactly
+    the semiregular permutations pass every level."""
+    cur, steps = x[k], 1
+    while cur != k:
+        if steps == length:
+            return None
+        if cur > k:
+            return length
+        cur, steps = x[cur], steps + 1
+    if length and steps != length:
+        return None
+    return steps
+
+
 def _is_semiregular(images: tuple[int, ...]) -> bool:
     """All cycles of the permutation with these images share one length;
     such permutations are exactly the possible members of a regular
     group."""
-    n = len(images)
-    seen = [False] * n
-    lengths = set()
-    for v in range(n):
-        if seen[v]:
-            continue
-        length, cur = 0, v
-        while not seen[cur]:
-            seen[cur] = True
-            cur = images[cur]
-            length += 1
-        lengths.add(length)
-        if len(lengths) > 1:
+    length: Optional[int] = 0
+    for k in range(len(images)):
+        length = _cycle_step(k, images, length)
+        if length is None:
             return False
     return True
 
@@ -198,9 +221,12 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     propagates forced choices and prunes inconsistent ones.
 
     Only the identity and the semiregular members can sit in a slot, so
-    those are indexed once, in image order, and slots hold indices.  A
-    chain's products are filtered as they are made: only the kept ones
-    become Permutations, and perms is not listed on the group.  A
+    those are indexed once, in image order, and slots hold indices.  On
+    a chain they are found by groups._chain_search with _cycle_step,
+    which cuts a partial product as soon as its cycles cannot share one
+    length; only the kept ones become Permutations, and perms is not
+    listed on the group.  A listed group's elements are tested by the
+    same rule, _is_semiregular.  A
     product is composed by a per-member itemgetter and looked up in the
     index; a product outside the index is a conflict.  Products are not
     memoised: in S8 a table of them answered 31% of lookups and doubled
@@ -209,10 +235,9 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
     if p.transversals is None:
-        images: Iterable[tuple[int, ...]] = (q.images for q in p.perms)
+        ims = sorted(filter(_is_semiregular, (q.images for q in p.perms)))
     else:
-        images = _chain_products(p.transversals, n)
-    ims = sorted(filter(_is_semiregular, images))
+        ims = sorted(_chain_search(p.transversals, _cycle_step, 0))
     if not ims or ims[0] != tuple(range(n)):
         raise ValueError("permutation group does not contain the identity")
     members = [Permutation(im) for im in ims]
@@ -321,16 +346,18 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     return CayleyRecovery(group=group, hyperset=hyperset)
 
 
+def _generator_images(small: PermGroup) -> list[tuple[int, ...]]:
+    """The images of each non-identity generator of small (of each
+    element when none are known).  Conjugation is an injective
+    homomorphism, so it maps small onto itself as soon as it maps these
+    into small."""
+    return [s.images for s in (small.generators or small.sorted_perms()) if not s.is_identity()]
+
+
 def _probes(small: PermGroup) -> list[itemgetter]:
-    """One getter per non-identity generator s of small (per element when
-    none are known), composing s then x as probe(x).  Conjugation is an
-    injective homomorphism, so it maps small onto itself as soon as it
-    maps these into small."""
-    return [
-        itemgetter(*s.images)
-        for s in (small.generators or small.sorted_perms())
-        if not s.is_identity()
-    ]
+    """One getter per _generator_images entry s, composing s then x as
+    probe(x)."""
+    return [itemgetter(*s) for s in _generator_images(small)]
 
 
 def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) -> bool:
@@ -346,10 +373,28 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     say x(0) = t(0) with t in small, factors as s then t with s = x then
     t^-1 fixing 0 and in the normalizer too (the Frattini argument).  So
     only the elements fixing 0 or moving 0 out of that orbit are tested,
-    and the rest are rebuilt as products.  When big is a stabiliser
-    chain, an element's image of 0 is that of its factor r_0 in T_0, so
-    only the T_0 maps passing that filter are multiplied out; for a
-    transitive small that lists the point stabiliser alone.
+    and the rest are rebuilt as products.  A listed big has those
+    elements tested one by one.
+
+    When big is a stabiliser chain, an element's image of 0 is that of
+    its factor r_0 in T_0, so T_0 keeps only the maps passing that
+    filter, and groups._chain_search walks the chain with a per-level
+    prune; no element is listed to be tested.  The conjugate
+    c = x^-1 then s then x of a generator s sends x(v) to x(s(v)), so
+    for each non-identity generator s the step keeps the elements t of
+    small that agree with c on the pairs known so far: the pair of v is
+    checked at level max(v, s(v)), where x(v) and x(s(v)) are first
+    final.  A branch is cut when some generator has no t left.
+
+    - A cut branch holds no normalizing x: for such an x every c lies
+      in small and agrees with x's partial product on every pair
+      checked, so c is never filtered out.
+    - At a leaf every pair has been checked, so the one t left for s is
+      c, and c lies in small for every generator.  Conjugation by x is
+      an injective homomorphism, so it maps small onto itself.
+
+    So the leaves are exactly the normalizing products of the filtered
+    chain, the elements the listed branch would keep.
     """
     if big.degree != small.degree:
         raise ValueError(f"degree mismatch: {big.degree} vs {small.degree}")
@@ -360,11 +405,39 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     tested = set(range(big.degree)).difference(p[0] for p in inside) | {0}
     if big.transversals is None:
         candidates = (x.images for x in big.perms if x.images[0] in tested)
+        probes = _probes(small)
+        kept = [x for x in candidates if _conjugates_into(x, probes, inside)]
     else:
+        gens = _generator_images(small)
+        # checks[k] holds (j, v, s(v)) for the generators s = gens[j] and
+        # the points v with max(v, s(v)) = k
+        checks: list[list[tuple[int, int, int]]] = [[] for _ in range(big.degree)]
+        for j, s in enumerate(gens):
+            for v, w in enumerate(s):
+                checks[max(v, w)].append((j, v, w))
+
+        # cached for this call only, and shared read-only by the branches
+        @cache
+        def sending(a: int, b: int) -> tuple[tuple[int, ...], ...]:
+            return tuple(t for t in inside if t[a] == b)
+
+        def step(k, x, agree):
+            # agree[j] lists the t agreeing with x^-1 then gens[j] then x
+            # on the pairs checked so far, or is None before the first
+            if not checks[k]:
+                return agree
+            agree = list(agree)
+            for j, v, w in checks[k]:
+                a, b = x[v], x[w]
+                ts = agree[j]
+                ts = sending(a, b) if ts is None else [t for t in ts if t[a] == b]
+                if not ts:
+                    return None
+                agree[j] = ts
+            return agree
+
         top = tuple(r for r in big.transversals[0] if r[0] in tested)
-        candidates = _chain_products((top, *big.transversals[1:]), big.degree)
-    probes = _probes(small)
-    kept = [x for x in candidates if _conjugates_into(x, probes, inside)]
+        kept = _chain_search((top, *big.transversals[1:]), step, [None] * len(gens))
     # a t in small fixing 0 lies in the normalizer, so s then t is kept already
     products = {
         itemgetter(*s)(t) for s in kept if s[0] == 0 for t in inside if t[0] != 0

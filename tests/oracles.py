@@ -234,6 +234,18 @@ def _perm_closure(gens, n):
     return frozenset(seen)
 
 
+def is_semiregular(p):
+    """Every power of p but the identity moves every point: the cycles of
+    p then share one length."""
+    identity = tuple(range(len(p)))
+    q = p
+    while q != identity:
+        if any(q[v] == v for v in identity):
+            return False
+        q = _compose(q, p)
+    return True
+
+
 def brute_regular_subgroups(perms, n):
     """All order-n subgroups of the given permutation set acting regularly.
 

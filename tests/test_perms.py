@@ -367,9 +367,10 @@ def test_chain_matches_brute_force_on_census_arc_sets():
 
 
 def test_analyze_lists_only_the_point_stabiliser_of_aut(monkeypatch):
-    # Aut of the Z8 loops is S8; the normalizer of the translations
-    # needs only the stabiliser of 0, 8!/8 = 5040 of its elements, and
-    # every level of the chain below it lists elements of that stabiliser
+    # Aut of the Z8 loops is S8; the normalizer of the translations walks
+    # only the stabiliser of 0, 8!/8 = 5040 of its elements, in a pruned
+    # search that makes no product here, so what is built is at most
+    # that stabiliser (here only the few maps of Aut(Z8, X))
     import cdhg.groups
 
     built = set()
@@ -387,6 +388,90 @@ def test_analyze_lists_only_the_point_stabiliser_of_aut(monkeypatch):
     assert "normalizer: 32" in lines
     assert all(line.endswith(": pass") for line in lines if line.startswith("theorem2_"))
     assert len(built) <= 5040
+
+
+def z8_loops_aut():
+    z8 = make_cyclic(8)
+    return z8, aut_hypergraph(cd_construct(z8, validate_hyperset(z8, [[0]])))
+
+
+def test_normalizer_on_a_chain_prunes_the_point_stabiliser(monkeypatch):
+    # Aut of the Z8 loops is S8, whose stabiliser of 0 has 5040 elements;
+    # the search down the chain cuts a branch as soon as a conjugate of a
+    # translation leaves the translations, so it takes 128 steps and
+    # makes no product of the chain
+    import cdhg.groups
+    import cdhg.perms
+
+    z8, aut = z8_loops_aut()
+    steps = []
+    search = cdhg.groups._chain_search
+
+    def counted(transversals, step, state):
+        def counted_step(k, x, below):
+            steps.append(k)
+            return step(k, x, below)
+
+        return search(transversals, counted_step, state)
+
+    def no_products(*args):
+        raise AssertionError("a product of the chain was made")
+
+    monkeypatch.setattr(cdhg.perms, "_chain_search", counted)
+    monkeypatch.setattr(cdhg.groups, "_products", no_products)
+    norm = normalizer(aut, right_regular(z8))
+    assert 0 < len(steps) <= 256
+    assert norm.order == 32
+
+
+def test_regular_search_keeps_the_semiregular_products_of_the_chain(monkeypatch):
+    # the search down S8's chain keeps exactly the products of the chain
+    # that the listed rule keeps, and find_regular_subgroups makes its
+    # members from them in image order
+    import cdhg.perms
+    from cdhg.groups import _chain_products
+    from cdhg.perms import _is_semiregular
+
+    _, aut = z8_loops_aut()
+    members = []
+    monkeypatch.setattr(cdhg.perms, "Permutation", lambda im: members.append(im) or Permutation(im))
+    regs = find_regular_subgroups(aut, 8)
+    reference = sorted(filter(_is_semiregular, _chain_products(aut.transversals, 8)))
+    assert len(reference) == 6406
+    assert members == reference
+    assert len(regs) == 2760
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_semiregular_rule_matches_the_powers_oracle(n):
+    from cdhg.perms import _is_semiregular
+
+    for p in permutations(range(n)):
+        assert _is_semiregular(p) == oracles.is_semiregular(p), p
+
+
+def test_normalizer_is_normalized_by_sympy_on_census_arc_sets():
+    # every distinct census arc set of order 7 or 8, with the right
+    # translations of the first group that gives it: sympy's own
+    # Schreier-Sims finds G_R normal in the group the normalizer's
+    # elements generate, and that group has exactly those elements
+    seen = {}
+    for g in census_corpus(8):
+        if g.order >= 7:
+            for x in census_hypersets(g, 3):
+                h = cd_construct(g, x)
+                seen.setdefault(h.arcs, (h, g))
+    assert len(seen) == 43
+
+    def as_sympy(p):
+        return SympyPermutationGroup([SympyPermutation(list(q.images)) for q in p.perms])
+
+    for h, g in seen.values():
+        g_r = right_regular(g)
+        norm = normalizer(aut_hypergraph(h), g_r)
+        generated = as_sympy(norm)
+        assert generated.order() == norm.order
+        assert as_sympy(g_r).is_normal(generated)
 
 
 def test_find_regular_subgroups_contains_translations(fano_group, fano_cd):
