@@ -188,9 +188,9 @@ def _perm_image_arcs(perm: Permutation, arcs):
 def _heavy_layers(h: Dihypergraph):
     """Aut(h), or None when it is refused; the first generator of Aut(h)
     that moves an arc off the arc set, or None when every generator keeps
-    it; and one (perms, order profile) pair per regular subgroup of
-    Aut(h), the profile None when its round trip fails.  All of it
-    depends on the arcs alone.
+    it; and one (T_0, order profile) pair per regular subgroup of
+    Aut(h), T_0 listing all of it, the profile None when its round trip
+    fails.  All of it depends on the arcs alone.
 
     The generators are the maps the search for Aut(h)'s stabiliser chain
     found, whose products are all of Aut(h), and a product of
@@ -202,7 +202,7 @@ def _heavy_layers(h: Dihypergraph):
         return None, None, None
     arc_set = set(h.arcs)
     bad = next(
-        (p for p in aut_h.generators or () if _perm_image_arcs(p, h.arcs) != arc_set), None
+        (p for p in aut_h.generators if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
     regs = []
     for r in find_regular_subgroups(aut_h, h.vertex_count):
@@ -210,7 +210,7 @@ def _heavy_layers(h: Dihypergraph):
             profile = _order_profile(regular_to_cayley(h, r).group)
         except ValueError:
             profile = None
-        regs.append((r.perms, profile))
+        regs.append((r.transversals[0], profile))
     return aut_h, bad, regs
 
 
@@ -319,7 +319,7 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                 # exactly when their generators do
                 tallies["right_regular_in_aut"].ok(
                     tag,
-                    all(t in aut_h for t in g_r.generators or ()),
+                    all(t in aut_h for t in g_r.generators),
                     "a right translation is not an automorphism",
                 )
 
@@ -327,10 +327,10 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                     tag, bad is None, f"permutation {bad and bad.images} breaks an arc"
                 )
 
-                regs_ok = any(perms == g_r.perms for perms, _ in regs)
+                regs_ok = any(t0 == g_r.transversals[0] for t0, _ in regs)
                 profiles = set()
-                for perms, profile in regs:
-                    if perms == g_r.perms:
+                for t0, profile in regs:
+                    if t0 == g_r.transversals[0]:
                         continue
                     if profile is None:
                         regs_ok = False

@@ -410,6 +410,29 @@ def _chain_products(
     return group
 
 
+def _chain_of_elements(
+    n: int, elements: Iterable[tuple[int, ...]]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The stabiliser chain over the base 0..n-1 of a group G on 0..n-1,
+    read off image tuples of G's elements in O(|elements| n).
+
+    Each element is put under its first moved point k, and the first one
+    for each image of k is kept; T_k is the identity followed by the kept
+    maps in order of image, as _stabiliser_chain lists them.  This is G's
+    chain when, for every k, elements holds a map of G^(k) (fixing
+    0..k-1) sending k to each point of k's orbit under G^(k)."""
+    identity = tuple(range(n))
+    levels: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+    for p in elements:
+        for k, w in enumerate(p):
+            if w != k:
+                levels[k].setdefault(w, p)
+                break
+    return tuple(
+        (identity, *map(level.get, sorted(level))) if level else (identity,) for level in levels
+    )
+
+
 def _chain_search(
     transversals: Sequence[tuple[tuple[int, ...], ...]],
     step: Callable[[int, tuple[int, ...], object], object],

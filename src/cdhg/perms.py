@@ -10,11 +10,12 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
+    _chain_of_elements,
     _chain_products,
     _chain_search,
     _stabiliser_chain,
@@ -68,41 +69,48 @@ class Permutation:
 
 
 class PermGroup:
-    """A permutation group on 0..degree-1, given by its elements or by a
-    stabiliser chain.
+    """A permutation group on 0..degree-1, kept as a stabiliser chain.
 
-    A chain holds one transversal T_k per point k: T_k[0] is the
-    identity, every map in T_k fixes 0..k-1, and no two send k to the
-    same point.  Every element is then one product r_{n-1} then ... then
-    r_0 with r_k in T_k, so the order is prod |T_k|, membership is a
-    sift through the levels, and perms is listed from the chain only
-    when a caller first reads it.  normalizer and find_regular_subgroups
-    do not read it: they walk the chain by groups._chain_search, which
-    cuts a partial product at the first level that rules it out.
-    aut_hypergraph returns such a group; every other constructor here
-    lists its elements.
+    The chain holds one transversal T_k per point k: T_k[0] is the
+    identity, every map in T_k fixes 0..k-1, and the others send k to
+    distinct points, in increasing order of that image.  Every element
+    is then one product r_{n-1} then ... then r_0 with r_k in T_k, so
+    the order is prod |T_k|, membership is a sift through the levels,
+    and perms is listed from the chain only when a caller first reads
+    it.  normalizer and find_regular_subgroups do not read it: they walk
+    the chain by groups._chain_search, which cuts a partial product at
+    the first level that rules it out.  For a regular group T_0 holds
+    every element, in order of its image of 0.
 
-    generators, when present, is a subset whose closure is the whole
-    group; normalizer tests conjugation on it instead of on every
-    element.  A chain's generators are the maps its search found, a
-    strong generating set (groups._stabiliser_chain).
+    generators is a subset whose closure is the whole group; normalizer
+    tests conjugation on it instead of on every element.  A searched
+    chain's generators are the maps its search found, a strong
+    generating set (groups._stabiliser_chain).
     """
 
     def __init__(
         self,
         degree: int,
-        perms: Optional[frozenset[Permutation]] = None,
-        generators: Optional[tuple[Permutation, ...]] = None,
-        transversals: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None,
+        transversals: tuple[tuple[tuple[int, ...], ...], ...],
+        generators: tuple[Permutation, ...],
     ):
-        if (perms is None) == (transversals is None):
-            raise ValueError("a permutation group is given by its elements or by a stabiliser chain")
         self.degree = degree
-        self.generators = generators
         self.transversals = transversals
-        if perms is not None:
-            # a listed group's elements shadow the cached property below
-            self.perms = perms
+        self.generators = generators
+
+    @staticmethod
+    def from_elements(
+        degree: int,
+        elements: Iterable[tuple[int, ...]],
+        generators: Optional[tuple[Permutation, ...]] = None,
+    ) -> "PermGroup":
+        """The group whose chain groups._chain_of_elements reads off these
+        image tuples, under its condition; the generators default to the
+        chain's non-identity maps."""
+        transversals = _chain_of_elements(degree, elements)
+        if generators is None:
+            generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
+        return PermGroup(degree, transversals, generators)
 
     @cached_property
     def perms(self) -> frozenset[Permutation]:
@@ -111,8 +119,6 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        if self.transversals is None:
-            return len(self.perms)
         return math.prod(map(len, self.transversals))
 
     @cached_property
@@ -126,8 +132,6 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        if self.transversals is None:
-            return p in self.perms
         # at level k, p fixes 0..k-1; dividing out the r in T_k with
         # r(k) = p(k) leaves a map fixing k too, and p is in the group
         # exactly when no level lacks its r
@@ -146,18 +150,17 @@ class PermGroup:
 
 
 def right_regular(g: FiniteGroup) -> PermGroup:
-    """The right translations v -> v*h, one per group element."""
-    translations = [Permutation(column) for column in zip(*g.table)]
-    gens = tuple(translations[h] for h in g.generators)
-    return PermGroup(degree=g.order, perms=frozenset(translations), generators=gens or None)
+    """The right translations v -> v*h, one per group element: the
+    columns of the table, each moving 0 unless it is the identity."""
+    columns = list(zip(*g.table))
+    gens = tuple(Permutation(columns[h]) for h in g.generators)
+    return PermGroup.from_elements(g.order, columns, gens)
 
 
 def is_regular(p: PermGroup, n: int) -> bool:
     """Sharply transitive on n points: degree n, order n, and n distinct
-    images of 0.  For a group that is the same as transitive of order n;
-    a set that is not a group can reach every point by closure without
-    holding one element per image of 0."""
-    return p.degree == n and p.order == n and len({q.images[0] for q in p.perms}) == n
+    images of 0, that is n maps in T_0 and nothing fixing 0."""
+    return p.degree == n and p.order == n == len(p.transversals[0])
 
 
 def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -173,8 +176,7 @@ def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     n = h.vertex_count
     search = _completion_search(h, h)
     transversals, found = _stabiliser_chain(n, range(n), lambda k, w: search((*range(k), w)))
-    generators = tuple(map(Permutation, found))
-    return PermGroup(degree=n, generators=generators or None, transversals=transversals)
+    return PermGroup(n, transversals, tuple(map(Permutation, found)))
 
 
 def _cycle_step(k: int, x: tuple[int, ...], length: int) -> Optional[int]:
@@ -200,18 +202,6 @@ def _cycle_step(k: int, x: tuple[int, ...], length: int) -> Optional[int]:
     return steps
 
 
-def _is_semiregular(images: tuple[int, ...]) -> bool:
-    """All cycles of the permutation with these images share one length;
-    such permutations are exactly the possible members of a regular
-    group."""
-    length: Optional[int] = 0
-    for k in range(len(images)):
-        length = _cycle_step(k, images, length)
-        if length is None:
-            return False
-    return True
-
-
 def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     """All order-n subgroups of p acting regularly on 0..n-1.
 
@@ -221,23 +211,18 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     propagates forced choices and prunes inconsistent ones.
 
     Only the identity and the semiregular members can sit in a slot, so
-    those are indexed once, in image order, and slots hold indices.  On
-    a chain they are found by groups._chain_search with _cycle_step,
-    which cuts a partial product as soon as its cycles cannot share one
-    length; only the kept ones become Permutations, and perms is not
-    listed on the group.  A listed group's elements are tested by the
-    same rule, _is_semiregular.  A
-    product is composed by a per-member itemgetter and looked up in the
-    index; a product outside the index is a conflict.  Products are not
+    those are indexed once, in image order, and slots hold indices.
+    They are found by groups._chain_search with _cycle_step, which cuts
+    a partial product as soon as its cycles cannot share one length;
+    only the kept ones become Permutations, and perms is not listed on
+    the group.  A product is composed by a per-member itemgetter and
+    looked up in the index; a product outside the index is a conflict.  Products are not
     memoised: in S8 a table of them answered 31% of lookups and doubled
     the search's peak memory without making it faster.
     """
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
-    if p.transversals is None:
-        ims = sorted(filter(_is_semiregular, (q.images for q in p.perms)))
-    else:
-        ims = sorted(_chain_search(p.transversals, _cycle_step, 0))
+    ims = sorted(_chain_search(p.transversals, _cycle_step, 0))
     if not ims or ims[0] != tuple(range(n)):
         raise ValueError("permutation group does not contain the identity")
     members = [Permutation(im) for im in ims]
@@ -300,7 +285,7 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     # indices follow image order, so sorted index tuples sort the
     # subgroups as their sorted image lists would
     return [
-        PermGroup(degree=n, perms=frozenset(members[i] for i in r))
+        PermGroup.from_elements(n, map(ims.__getitem__, r), tuple(map(members.__getitem__, r[1:])))
         for r in sorted(results)
     ]
 
@@ -318,9 +303,9 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     """Rebuild a group and hyperset from a regular subgroup of Aut(h).
 
     Vertices are labeled by the unique permutation p_j carrying the base
-    vertex 0 onto j; reading products off those labels,
-    table[i][j] = p_j(i), gives the group table, and the arcs leaving
-    vertex 0 give one member per arc orbit.
+    vertex 0 onto j, which is T_0[j]; reading products off those labels,
+    table[i][j] = p_j(i), gives the group table, the transpose of T_0,
+    and the arcs leaving vertex 0 give one member per arc orbit.
 
     The rebuilt group's right translation by j sends i to i*j = p_j(i),
     so its right translations are exactly r, and cd_construct of the
@@ -331,9 +316,7 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     n = h.vertex_count
     if not is_regular(r, n):
         raise ValueError(f"subgroup of order {r.order} on degree {r.degree} is not regular on {n} vertices")
-    by_image = {perm.images[0]: perm for perm in r.perms}
-    table = [[by_image[j].images[i] for j in range(n)] for i in range(n)]
-    group = FiniteGroup.from_table(f"regular{n}", table)
+    group = FiniteGroup.from_table(f"regular{n}", list(zip(*r.transversals[0])))
     members = []
     for v, e in h.arcs:
         if v == 0:
@@ -347,21 +330,15 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
 
 
 def _generator_images(small: PermGroup) -> list[tuple[int, ...]]:
-    """The images of each non-identity generator of small (of each
-    element when none are known).  Conjugation is an injective
-    homomorphism, so it maps small onto itself as soon as it maps these
-    into small."""
-    return [s.images for s in (small.generators or small.sorted_perms()) if not s.is_identity()]
-
-
-def _probes(small: PermGroup) -> list[itemgetter]:
-    """One getter per _generator_images entry s, composing s then x as
-    probe(x)."""
-    return [itemgetter(*s) for s in _generator_images(small)]
+    """The images of each non-identity generator of small.  Conjugation
+    is an injective homomorphism, so it maps small onto itself as soon
+    as it maps these into small."""
+    return [s.images for s in small.generators if not s.is_identity()]
 
 
 def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) -> bool:
-    """True when x^-1 then s then x lies in inside for every probe s."""
+    """True when x^-1 then s then x lies in inside for every probe s,
+    the getter that composes s then x as probe(x)."""
     undo = itemgetter(*_inverse(x))
     return all(undo(probe(x)) in inside for probe in probes)
 
@@ -369,22 +346,16 @@ def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) 
 def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     """Elements of big whose conjugation maps small onto itself.
 
-    An element x of the normalizer that sends 0 into small's orbit of 0,
-    say x(0) = t(0) with t in small, factors as s then t with s = x then
-    t^-1 fixing 0 and in the normalizer too (the Frattini argument).  So
-    only the elements fixing 0 or moving 0 out of that orbit are tested,
-    and the rest are rebuilt as products.  A listed big has those
-    elements tested one by one.
-
-    When big is a stabiliser chain, an element's image of 0 is that of
-    its factor r_0 in T_0, so T_0 keeps only the maps passing that
-    filter, and groups._chain_search walks the chain with a per-level
-    prune; no element is listed to be tested.  The conjugate
-    c = x^-1 then s then x of a generator s sends x(v) to x(s(v)), so
-    for each non-identity generator s the step keeps the elements t of
-    small that agree with c on the pairs known so far: the pair of v is
-    checked at level max(v, s(v)), where x(v) and x(s(v)) are first
-    final.  A branch is cut when some generator has no t left.
+    Only the elements fixing 0 or moving 0 out of small's orbit of 0 are
+    tested.  An element's image of 0 is that of its factor r_0 in T_0,
+    so T_0 keeps only the maps passing that filter, and
+    groups._chain_search walks the chain with a per-level prune; no
+    element is listed to be tested.  The conjugate c = x^-1 then s then
+    x of a generator s sends x(v) to x(s(v)), so for each non-identity
+    generator s the step keeps the elements t of small that agree with
+    c on the pairs known so far: the pair of v is checked at level
+    max(v, s(v)), where x(v) and x(s(v)) are first final.  A branch is
+    cut when some generator has no t left.
 
     - A cut branch holds no normalizing x: for such an x every c lies
       in small and agrees with x's partial product on every pair
@@ -393,56 +364,53 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
       c, and c lies in small for every generator.  Conjugation by x is
       an injective homomorphism, so it maps small onto itself.
 
-    So the leaves are exactly the normalizing products of the filtered
-    chain, the elements the listed branch would keep.
+    So kept is the normalizing elements that send 0 to a tested point,
+    and the normalizer N is read off kept and small's elements by
+    groups._chain_of_elements, whose condition holds:
+
+    - for k >= 1, every element of N fixing 0..k-1 fixes 0, so it is
+      tested and kept;
+    - a point of 0's orbit under N either lies in small's orbit of 0, or
+      is reached by a kept element.
     """
     if big.degree != small.degree:
         raise ValueError(f"degree mismatch: {big.degree} vs {small.degree}")
-    if not all(p in big for p in small.generators or small.perms):
+    if not all(p in big for p in small.generators):
         raise ValueError("small is not contained in big")
-    inside = {p.images for p in small.perms}
+    inside = set(_chain_products(small.transversals, small.degree))
     # an element is tested only when it sends 0 to one of these points
     tested = set(range(big.degree)).difference(p[0] for p in inside) | {0}
-    if big.transversals is None:
-        candidates = (x.images for x in big.perms if x.images[0] in tested)
-        probes = _probes(small)
-        kept = [x for x in candidates if _conjugates_into(x, probes, inside)]
-    else:
-        gens = _generator_images(small)
-        # checks[k] holds (j, v, s(v)) for the generators s = gens[j] and
-        # the points v with max(v, s(v)) = k
-        checks: list[list[tuple[int, int, int]]] = [[] for _ in range(big.degree)]
-        for j, s in enumerate(gens):
-            for v, w in enumerate(s):
-                checks[max(v, w)].append((j, v, w))
+    gens = _generator_images(small)
+    # checks[k] holds (j, v, s(v)) for the generators s = gens[j] and
+    # the points v with max(v, s(v)) = k
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(big.degree)]
+    for j, s in enumerate(gens):
+        for v, w in enumerate(s):
+            checks[max(v, w)].append((j, v, w))
 
-        # cached for this call only, and shared read-only by the branches
-        @cache
-        def sending(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-            return tuple(t for t in inside if t[a] == b)
+    # cached for this call only, and shared read-only by the branches
+    @cache
+    def sending(a: int, b: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(t for t in inside if t[a] == b)
 
-        def step(k, x, agree):
-            # agree[j] lists the t agreeing with x^-1 then gens[j] then x
-            # on the pairs checked so far, or is None before the first
-            if not checks[k]:
-                return agree
-            agree = list(agree)
-            for j, v, w in checks[k]:
-                a, b = x[v], x[w]
-                ts = agree[j]
-                ts = sending(a, b) if ts is None else [t for t in ts if t[a] == b]
-                if not ts:
-                    return None
-                agree[j] = ts
+    def step(k, x, agree):
+        # agree[j] lists the t agreeing with x^-1 then gens[j] then x
+        # on the pairs checked so far, or is None before the first
+        if not checks[k]:
             return agree
+        agree = list(agree)
+        for j, v, w in checks[k]:
+            a, b = x[v], x[w]
+            ts = agree[j]
+            ts = sending(a, b) if ts is None else [t for t in ts if t[a] == b]
+            if not ts:
+                return None
+            agree[j] = ts
+        return agree
 
-        top = tuple(r for r in big.transversals[0] if r[0] in tested)
-        kept = _chain_search((top, *big.transversals[1:]), step, [None] * len(gens))
-    # a t in small fixing 0 lies in the normalizer, so s then t is kept already
-    products = {
-        itemgetter(*s)(t) for s in kept if s[0] == 0 for t in inside if t[0] != 0
-    }
-    return PermGroup(degree=big.degree, perms=frozenset(map(Permutation, products.union(kept))))
+    top = tuple(r for r in big.transversals[0] if r[0] in tested)
+    kept = _chain_search((top, *big.transversals[1:]), step, [None] * len(gens))
+    return PermGroup.from_elements(big.degree, [*kept, *inside])
 
 
 @dataclass(frozen=True)
@@ -489,22 +457,26 @@ def verify_theorem2(
     g_r = right_regular(g)
     norm = normalizer(aut, g_r)
     auts = aut_g_x(g, x)
-    sigma = [Permutation(a.map) for a in auts]
-    product = {s.then(t) for s in sigma for t in g_r.perms}
+    sigma = tuple(a.map for a in auts)
+    # G_R is regular, so its T_0 lists all of it; product holds each
+    # sigma then t with t in G_R
+    translations = g_r.transversals[0]
+    product = set(_chain_products((translations, sigma), g.order))
+    elements = set(_chain_products(norm.transversals, g.order))
     # conjugation by q is an injective homomorphism, so it sends
     # <generators> = G_R onto G_R once it sends each generator into G_R
-    probes = _probes(g_r)
-    inside = {t.images for t in g_r.perms}
-    g_r_normal = all(_conjugates_into(q.images, probes, inside) for q in norm.perms)
-    stabilizer = {q for q in norm.perms if q.images[0] == 0}
+    probes = [itemgetter(*s) for s in _generator_images(g_r)]
+    inside = set(translations)
+    g_r_normal = all(_conjugates_into(q, probes, inside) for q in elements)
+    stabilizer = {q for q in elements if q[0] == 0}
     return Theorem2Report(
         group_order=g.order,
         aut_h_order=aut.order,
         aut_g_x=auts,
         normalizer_order=norm.order,
-        product_factorization=product == norm.perms,
+        product_factorization=product == elements,
         order_matches=norm.order == g.order * len(sigma),
-        trivial_intersection=(g_r.perms & set(sigma)) == {Permutation.identity(g.order)},
+        trivial_intersection=inside.intersection(sigma) == {tuple(range(g.order))},
         g_r_normal=g_r_normal,
         stabilizer_matches=stabilizer == set(sigma),
     )

@@ -163,11 +163,7 @@ def test_run_census_tallies_a_generator_that_breaks_an_arc(monkeypatch):
         if h.vertex_count < 2:
             return aut
         swap = Permutation((1, 0, *range(2, h.vertex_count)))
-        return PermGroup(
-            h.vertex_count,
-            generators=(*(aut.generators or ()), swap),
-            transversals=aut.transversals,
-        )
+        return PermGroup(h.vertex_count, aut.transversals, (*aut.generators, swap))
 
     monkeypatch.setattr(cdhg.census, "aut_hypergraph", with_swap)
     result = run_census(max_order=4, max_member_size=2)

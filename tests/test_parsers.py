@@ -1,24 +1,30 @@
-"""Non-canonical and hostile text for load_group and load_dihypergraph.
+"""Non-canonical and hostile text for load_group, load_dihypergraph,
+load_hyperset and the command line that reads them.
 
 Each text is drawn with its expected result known by construction: any
 accepted spelling of an index (+1, 01, -0), with comments, blank lines
 and extra whitespace around it, loads to the value its canonical text
-gives; one hostile token (not an integer, negative, or out of range)
-gives the message pinned below for it.
+gives; one hostile token (not an integer, negative, or out of range,
+or for a hyperset a member without 0) gives the message pinned below
+for it.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cdhg import (
     Dihypergraph,
     FiniteGroup,
+    cd_construct,
     census_corpus,
     dump_dihypergraph,
     load_dihypergraph,
     load_group,
+    load_hyperset,
     serialize_group,
+    validate_hyperset,
 )
+from cdhg.cli import main
 from conftest import dihypergraph_texts
 
 CORPUS8 = census_corpus(8)
@@ -57,15 +63,21 @@ def joined(draw, tokens):
     return "".join(t + draw(GAPS) for t in tokens[:-1]) + tokens[-1]
 
 
-def noisy(draw, bodies):
+def noisy_lines(draw, bodies):
     """The text of the line bodies, each padded and perhaps commented,
-    with comment-only and blank lines drawn between them."""
-    out = []
+    with comment-only and blank lines drawn between them, and the line
+    number of each body."""
+    out, at = [], []
     for body in bodies:
         out.extend(draw(st.lists(NOISE, max_size=1)))
         line = draw(PADS) + body + draw(PADS)
         out.append(line + draw(st.sampled_from(["", " # note", "#x 1 2"])))
-    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\n\n# end\n"]))
+        at.append(len(out))
+    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\n\n# end\n"])), at
+
+
+def noisy(draw, bodies):
+    return noisy_lines(draw, bodies)[0]
 
 
 @st.composite
@@ -120,6 +132,40 @@ def arc_texts(draw):
     return value, text, f"vertex {spelled} out of range 0..{n - 1} in {bodies[k]!r}"
 
 
+@st.composite
+def hyperset_texts(draw):
+    """(group, members, text, message): members are the drawn member
+    lists, and message is as group_texts gives it.  Each member holds
+    one 0; the corrupted token is one not an integer, one out of range,
+    or a member's 0 replaced by another element."""
+    g = draw(st.sampled_from(CORPUS8))
+    n = g.order
+    nonzero = st.lists(st.integers(1, n - 1), max_size=3) if n > 1 else st.just([])
+    members = draw(st.lists(nonzero.flatmap(lambda m: st.permutations([0, *m])), min_size=1, max_size=4))
+    spell = draw(st.sampled_from([canonical, spellings]))
+    tokens = [[draw(spell(v)) for v in m] for m in members]
+    kind = draw(st.sampled_from([None, "non-integer", "range", "identity"][: 4 if n > 1 else 3]))
+    k = draw(st.integers(0, len(members) - 1))
+    at = draw(st.integers(0, len(members[k]) - 1))
+    if kind == "non-integer":
+        tokens[k][at] = draw(NON_INTEGERS)
+    elif kind == "range":
+        tokens[k][at], members[k][at] = draw(hostile(n).filter(lambda case: case[1] is not None))
+    elif kind == "identity":
+        at = members[k].index(0)
+        members[k][at] = draw(st.integers(1, n - 1))
+        tokens[k][at] = draw(spell(members[k][at]))
+    bodies = [joined(draw, member) for member in tokens]
+    text, lines = noisy_lines(draw, bodies)
+    if kind is None:
+        return g, members, text, None
+    if kind == "non-integer":
+        return g, members, text, f"line {lines[k]} has a non-integer entry: {bodies[k]!r}"
+    if kind == "range":
+        return g, members, text, f"member element {members[k][at]} is out of range 0..{n - 1}"
+    return g, members, text, f"member {tuple(sorted(set(members[k])))} does not contain the identity 0"
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=group_texts())
 def test_load_group_reads_every_spelling_and_names_the_bad_token(case):
@@ -146,6 +192,43 @@ def test_load_dihypergraph_reads_every_spelling_and_names_the_bad_token(case):
         with pytest.raises(ValueError) as err:
             load_dihypergraph(text)
         assert str(err.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hyperset_texts())
+def test_load_hyperset_reads_every_spelling_and_names_the_bad_token(case):
+    g, members, text, message = case
+    if message is None:
+        assert load_hyperset(text, g) == validate_hyperset(g, members)
+    else:
+        with pytest.raises(ValueError) as err:
+            load_hyperset(text, g)
+        assert str(err.value) == message
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=hyperset_texts())
+def test_cli_reads_hyperset_text_and_exits_2_on_the_bad_token(case, tmp_path, capsys):
+    # build dumps the instance the members give; build and analyze on a
+    # bad file both print the loader's message and exit 2, raising nothing
+    g, members, text, message = case
+    group_path, hyperset_path = tmp_path / "g.txt", tmp_path / "x.txt"
+    group_path.write_text(serialize_group(g))
+    hyperset_path.write_text(text)
+    files = ["--group", str(group_path), "--hyperset", str(hyperset_path)]
+    capsys.readouterr()
+    if message is None:
+        assert main(["build", *files]) == 0
+        out = capsys.readouterr().out
+        assert out == dump_dihypergraph(cd_construct(g, validate_hyperset(g, members)))
+        return
+    for command in ("build", "analyze"):
+        assert main([command, *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [

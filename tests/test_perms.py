@@ -45,18 +45,21 @@ CORPUS8 = census_corpus(8)
 
 def closure(n, *gens):
     """The permutation group generated by image tuples, closed by the oracle."""
-    return PermGroup(n, frozenset(Permutation(p) for p in oracles._perm_closure(gens, n)))
+    return PermGroup.from_elements(n, oracles._perm_closure(gens, n))
 
 
 def symmetric(n):
-    """The full symmetric group on n points, from a transposition and an n-cycle."""
+    """The full symmetric group on n points, from a transposition and an
+    n-cycle when n > 1."""
+    if n == 1:
+        return closure(1)
     return closure(n, (1, 0, *range(2, n)), (*range(1, n), 0))
 
 
 @lru_cache(maxsize=None)
 def regular_in_symmetric(n):
     """Every regular subgroup of S_n, for n >= 1."""
-    return find_regular_subgroups(symmetric(n) if n > 1 else closure(1), n)
+    return find_regular_subgroups(symmetric(n), n)
 
 
 def test_composition_is_left_to_right():
@@ -97,6 +100,8 @@ def test_is_regular():
     assert not is_regular(closure(3, (1, 0, 2), (1, 2, 0)), 3)
     klein = closure(4, (1, 0, 3, 2), (2, 3, 0, 1))
     assert is_regular(klein, 4)
+    # order 4 but intransitive: T_0 holds only the identity and (0 1)
+    assert not is_regular(closure(4, (1, 0, 2, 3), (0, 1, 3, 2)), 4)
 
 
 @pytest.mark.parametrize("g", CORPUS8, ids=lambda g: g.name)
@@ -314,12 +319,26 @@ def test_aut_generators_give_the_chain_order_by_sympy():
     assert {5040, 40320, 1296, 3840} <= orders
 
 
-def test_permgroup_takes_its_elements_or_its_chain():
-    with pytest.raises(ValueError, match="elements or by a stabiliser chain"):
-        PermGroup(3)
-    identity = (0, 1, 2)
-    with pytest.raises(ValueError, match="elements or by a stabiliser chain"):
-        PermGroup(3, frozenset({Permutation(identity)}), transversals=((identity,),) * 3)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_of_elements_matches_the_closure(data):
+    # the chain read off a group's elements has the closure's order and
+    # listing, sifts exactly the closure's permutations, and is in the
+    # form _stabiliser_chain gives: the identity first, then maps fixing
+    # 0..k-1 in increasing image of k
+    n = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    elements = oracles._perm_closure(gens, n)
+    group = PermGroup.from_elements(n, elements)
+    assert group.order == len(elements)
+    assert {p.images for p in group.perms} == elements
+    assert {p for p in permutations(range(n)) if Permutation(p) in group} == elements
+    assert oracles._perm_closure([p.images for p in group.generators], n) == elements
+    for k, reps in enumerate(group.transversals):
+        assert reps[0] == tuple(range(n))
+        assert all(r[:k] == tuple(range(k)) for r in reps)
+        images = [r[k] for r in reps[1:]]
+        assert images == sorted(set(images)) and k not in images
 
 
 def check_chain_against_brute_force(h, smalls=()):
@@ -399,7 +418,8 @@ def test_normalizer_on_a_chain_prunes_the_point_stabiliser(monkeypatch):
     # Aut of the Z8 loops is S8, whose stabiliser of 0 has 5040 elements;
     # the search down the chain cuts a branch as soon as a conjugate of a
     # translation leaves the translations, so it takes 128 steps and
-    # makes no product of the chain
+    # makes no product over Aut's transversals (listing the translations
+    # themselves is a product over their own one-level chain)
     import cdhg.groups
     import cdhg.perms
 
@@ -414,8 +434,12 @@ def test_normalizer_on_a_chain_prunes_the_point_stabiliser(monkeypatch):
 
         return search(transversals, counted_step, state)
 
-    def no_products(*args):
-        raise AssertionError("a product of the chain was made")
+    products = cdhg.groups._products
+
+    def no_products(group, reps):
+        if reps in aut.transversals:
+            raise AssertionError("a product of Aut's chain was made")
+        return products(group, reps)
 
     monkeypatch.setattr(cdhg.perms, "_chain_search", counted)
     monkeypatch.setattr(cdhg.groups, "_products", no_products)
@@ -426,17 +450,16 @@ def test_normalizer_on_a_chain_prunes_the_point_stabiliser(monkeypatch):
 
 def test_regular_search_keeps_the_semiregular_products_of_the_chain(monkeypatch):
     # the search down S8's chain keeps exactly the products of the chain
-    # that the listed rule keeps, and find_regular_subgroups makes its
-    # members from them in image order
+    # that the powers oracle finds semiregular, and find_regular_subgroups
+    # makes its members from them in image order
     import cdhg.perms
     from cdhg.groups import _chain_products
-    from cdhg.perms import _is_semiregular
 
     _, aut = z8_loops_aut()
     members = []
     monkeypatch.setattr(cdhg.perms, "Permutation", lambda im: members.append(im) or Permutation(im))
     regs = find_regular_subgroups(aut, 8)
-    reference = sorted(filter(_is_semiregular, _chain_products(aut.transversals, 8)))
+    reference = sorted(filter(oracles.is_semiregular, _chain_products(aut.transversals, 8)))
     assert len(reference) == 6406
     assert members == reference
     assert len(regs) == 2760
@@ -444,10 +467,14 @@ def test_regular_search_keeps_the_semiregular_products_of_the_chain(monkeypatch)
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_semiregular_rule_matches_the_powers_oracle(n):
-    from cdhg.perms import _is_semiregular
+    # the search down S_n's chain with the cycle rule keeps exactly the
+    # permutations of n whose non-identity powers move every point
+    from cdhg.groups import _chain_search
+    from cdhg.perms import _cycle_step
 
-    for p in permutations(range(n)):
-        assert _is_semiregular(p) == oracles.is_semiregular(p), p
+    kept = _chain_search(symmetric(n).transversals, _cycle_step, 0)
+    assert len(kept) == len(set(kept))
+    assert set(kept) == set(filter(oracles.is_semiregular, permutations(range(n))))
 
 
 def test_normalizer_is_normalized_by_sympy_on_census_arc_sets():
@@ -545,10 +572,11 @@ def test_regular_to_cayley_rejects_irregular(fano_cd):
 
 
 def test_regular_to_cayley_rejects_a_transitive_set_that_is_not_a_group():
-    # its closure reaches every point, but two of its elements fix 0
+    # its closure reaches every point, but it is no group: the chain
+    # read off it has a map fixing 0, so its order is 4, not 3
     z3 = make_cyclic(3)
     h = cd_construct(z3, validate_hyperset(z3, [[0]]))
-    r = PermGroup(3, frozenset(Permutation(p) for p in ((0, 1, 2), (1, 0, 2), (0, 2, 1))))
+    r = PermGroup.from_elements(3, ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
     assert not is_regular(r, 3)
     with pytest.raises(ValueError, match="not regular"):
         regular_to_cayley(h, r)
