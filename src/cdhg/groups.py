@@ -238,9 +238,8 @@ def load_group(text: str) -> FiniteGroup:
         raise ValueError("group file too short: expected group/order/table headers")
     if not lines[0].startswith("group "):
         raise ValueError(f"expected 'group <name>' on the first line, got {lines[0]!r}")
+    # lines are stripped, so a line starting "group " has a name
     name = lines[0][len("group "):].strip()
-    if not name:
-        raise ValueError("empty group name")
     parts = lines[1].split()
     if len(parts) != 2 or parts[0] != "order":
         raise ValueError(f"expected 'order <n>' on the second line, got {lines[1]!r}")
@@ -282,21 +281,18 @@ def serialize_group(g: FiniteGroup) -> str:
 
 
 def subgroup_generated(g: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing the seed, as a set of element indices."""
-    members = {0}
-    for s in seed:
+    """Smallest subgroup containing the seed, as a set of element indices:
+    the closure of 0 under right multiplication by the seed, which in a
+    finite group is closed under inverses too."""
+    gens = list(seed)
+    for s in gens:
         if not (0 <= s < g.order):
             raise ValueError(f"seed element {s} is out of range 0..{g.order - 1}")
-        members.add(s)
-    table = g.table
-    while True:
-        snapshot = sorted(members)
-        fresh = {
-            table[a][b] for a in snapshot for b in snapshot
-        } - members
-        if not fresh:
-            return frozenset(members)
-        members |= fresh
+    reached = [False] * g.order
+    reached[0] = True
+    closure = [0]
+    _grow_closure(g.table, gens, reached, closure)
+    return frozenset(closure)
 
 
 def is_subgroup(g: FiniteGroup, s: Iterable[int]) -> bool:

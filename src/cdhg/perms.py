@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -80,12 +80,15 @@ class PermGroup:
     it.  normalizer and find_regular_subgroups do not read it: they walk
     the chain by groups._chain_search, which cuts a partial product at
     the first level that rules it out.  For a regular group T_0 holds
-    every element, in order of its image of 0.
+    every element, in order of its image of 0, so T_0[w] is the element
+    sending 0 to w.
 
     generators is a subset whose closure is the whole group; normalizer
-    tests conjugation on it instead of on every element.  A searched
+    checks conjugation on it instead of on every element.  A searched
     chain's generators are the maps its search found, a strong
-    generating set (groups._stabiliser_chain).
+    generating set (groups._stabiliser_chain); a chain read off
+    elements defaults to its maps past the identity, which for a
+    regular group are T_0[1:].
     """
 
     def __init__(
@@ -213,19 +216,21 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     Only the identity and the semiregular members can sit in a slot, so
     those are indexed once, in image order, and slots hold indices.
     They are found by groups._chain_search with _cycle_step, which cuts
-    a partial product as soon as its cycles cannot share one length;
-    only the kept ones become Permutations, and perms is not listed on
-    the group.  A product is composed by a per-member itemgetter and
-    looked up in the index; a product outside the index is a conflict.  Products are not
-    memoised: in S8 a table of them answered 31% of lookups and doubled
-    the search's peak memory without making it faster.
+    a partial product as soon as its cycles cannot share one length,
+    and perms is not listed on the group.  A product is composed by a
+    per-member itemgetter and looked up in the index; a product outside
+    the index is a conflict.  Each subgroup found is read off its
+    members by PermGroup.from_elements: every member but the identity
+    moves 0, so its chain is T_0 alone, and its generators are T_0 past
+    the identity.  Products are not memoised: in S8 a table of them
+    answered 31% of lookups and doubled the search's peak memory
+    without making it faster.
     """
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
     ims = sorted(_chain_search(p.transversals, _cycle_step, 0))
     if not ims or ims[0] != tuple(range(n)):
         raise ValueError("permutation group does not contain the identity")
-    members = [Permutation(im) for im in ims]
     index = {im: i for i, im in enumerate(ims)}
     # compose[i](o) is the image tuple of member i then o (for n = 1,
     # where nothing is ever composed, it would be a bare int)
@@ -284,10 +289,7 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     # each subgroup fills the slots one way, so results has no repeats;
     # indices follow image order, so sorted index tuples sort the
     # subgroups as their sorted image lists would
-    return [
-        PermGroup.from_elements(n, map(ims.__getitem__, r), tuple(map(members.__getitem__, r[1:])))
-        for r in sorted(results)
-    ]
+    return [PermGroup.from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]
 
 
 @dataclass(frozen=True)
@@ -344,73 +346,49 @@ def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) 
 
 
 def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
-    """Elements of big whose conjugation maps small onto itself.
+    """Elements of big whose conjugation maps small onto itself, for a
+    regular small.
 
-    Only the elements fixing 0 or moving 0 out of small's orbit of 0 are
-    tested.  An element's image of 0 is that of its factor r_0 in T_0,
-    so T_0 keeps only the maps passing that filter, and
-    groups._chain_search walks the chain with a per-level prune; no
-    element is listed to be tested.  The conjugate c = x^-1 then s then
-    x of a generator s sends x(v) to x(s(v)), so for each non-identity
-    generator s the step keeps the elements t of small that agree with
-    c on the pairs known so far: the pair of v is checked at level
-    max(v, s(v)), where x(v) and x(s(v)) are first final.  A branch is
-    cut when some generator has no t left.
+    Write small = {t_w}, with t_w the member sending 0 to w: small's T_0
+    is t_0, t_1, ... in order of image of 0.  Every element n of the
+    normalizer N sends 0 to some w, and n then t_w^-1 lies in N and fixes
+    0, so N = N_0 . small, with N_0 the elements of N fixing 0.  For x
+    fixing 0 and a generator s = t_w, the conjugate x^-1 then s then x
+    sends 0 to x(w), so if it lies in small it is t_(x(w)); and it is
+    t_(x(w)) exactly when x(s(v)) = t_(x(w))(x(v)) for every v (the
+    holomorph lemma; Dixon & Mortimer, Permutation Groups, 1996).  So x
+    is in N_0 exactly when every such triple (v, w, s(v)) holds:
+    conjugation is an injective homomorphism, so it maps small onto
+    itself once it maps the generators into it.
 
-    - A cut branch holds no normalizing x: for such an x every c lies
-      in small and agrees with x's partial product on every pair
-      checked, so c is never filtered out.
-    - At a leaf every pair has been checked, so the one t left for s is
-      c, and c lies in small for every generator.  Conjugation by x is
-      an injective homomorphism, so it maps small onto itself.
-
-    So kept is the normalizing elements that send 0 to a tested point,
-    and the normalizer N is read off kept and small's elements by
-    groups._chain_of_elements, whose condition holds:
-
-    - for k >= 1, every element of N fixing 0..k-1 fixes 0, so it is
-      tested and kept;
-    - a point of 0's orbit under N either lies in small's orbit of 0, or
-      is reached by a kept element.
+    groups._chain_search walks big's stabiliser of 0 and checks each
+    triple at level max(v, w, s(v)), where the three images are final,
+    so a cut branch holds no element of N_0 and kept is N_0.  N is read
+    off kept and T_0 by groups._chain_of_elements, whose condition
+    holds: T_0 sends 0 to every point, and for k >= 1 every element of N
+    fixing 0..k-1 fixes 0, so it is kept.
     """
-    if big.degree != small.degree:
-        raise ValueError(f"degree mismatch: {big.degree} vs {small.degree}")
+    n = big.degree
+    if n != small.degree:
+        raise ValueError(f"degree mismatch: {n} vs {small.degree}")
+    if not is_regular(small, n):
+        raise ValueError(f"small of order {small.order} is not regular on {n} points")
     if not all(p in big for p in small.generators):
         raise ValueError("small is not contained in big")
-    inside = set(_chain_products(small.transversals, small.degree))
-    # an element is tested only when it sends 0 to one of these points
-    tested = set(range(big.degree)).difference(p[0] for p in inside) | {0}
-    gens = _generator_images(small)
-    # checks[k] holds (j, v, s(v)) for the generators s = gens[j] and
-    # the points v with max(v, s(v)) = k
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(big.degree)]
-    for j, s in enumerate(gens):
-        for v, w in enumerate(s):
-            checks[max(v, w)].append((j, v, w))
+    t0 = small.transversals[0]
+    # checks[k] holds the triples (v, w, s(v)) of the non-identity
+    # generators s = t_w with max(v, w, s(v)) = k
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for s in _generator_images(small):
+        w = s[0]
+        for v, sv in enumerate(s):
+            checks[max(v, w, sv)].append((v, w, sv))
 
-    # cached for this call only, and shared read-only by the branches
-    @cache
-    def sending(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(t for t in inside if t[a] == b)
+    def step(k, x, state):
+        return state if all(x[sv] == t0[x[w]][x[v]] for v, w, sv in checks[k]) else None
 
-    def step(k, x, agree):
-        # agree[j] lists the t agreeing with x^-1 then gens[j] then x
-        # on the pairs checked so far, or is None before the first
-        if not checks[k]:
-            return agree
-        agree = list(agree)
-        for j, v, w in checks[k]:
-            a, b = x[v], x[w]
-            ts = agree[j]
-            ts = sending(a, b) if ts is None else [t for t in ts if t[a] == b]
-            if not ts:
-                return None
-            agree[j] = ts
-        return agree
-
-    top = tuple(r for r in big.transversals[0] if r[0] in tested)
-    kept = _chain_search((top, *big.transversals[1:]), step, [None] * len(gens))
-    return PermGroup.from_elements(big.degree, [*kept, *inside])
+    kept = _chain_search(((t0[0],), *big.transversals[1:]), step, True)
+    return PermGroup.from_elements(n, [*kept, *t0])
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,16 @@
 
 Everything here works on plain data (multiplication tables as nested
 lists, arcs as frozensets of (vertex, edge) pairs, permutations as image
-tuples) and enumerates from first principles.  Nothing imports cdhg, so
-a bug in the library cannot hide inside its own oracle.
+tuples) and enumerates from first principles, or hands it to networkx.
+Nothing imports cdhg, so a bug in the library cannot hide inside its
+own oracle.
 """
 
 from itertools import permutations
 from math import gcd
+
+import networkx as nx
+from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_match
 
 
 def arc_set(arcs):
@@ -287,3 +291,27 @@ def brute_normalizer(big, small):
         if all(_compose(_compose(xi, s), x) in small for s in small):
             found.add(x)
     return frozenset(found)
+
+
+def vf2_isomorphic(n, arcs_a, arcs_b):
+    """True when some vertex bijection carries arcs_a onto arcs_b, decided
+    by networkx's VF2 on incidence digraphs.
+
+    Each side has a node per vertex and a node per distinct edge, told
+    apart by a "kind" attribute that the match must keep; an edge node
+    points to its vertices, and an arc (v, e) points from v to e's node.
+    An edge node's out-neighbours are its vertices, so a match sends it
+    to the node of the image of its edge, and so carries arcs to arcs."""
+    def incidence(arcs):
+        d = nx.DiGraph()
+        d.add_nodes_from((("v", v) for v in range(n)), kind="v")
+        for v, e in arc_set(arcs):
+            d.add_node(("e", e), kind="e")
+            d.add_edges_from((("e", e), ("v", u)) for u in e)
+            d.add_edge(("v", v), ("e", e))
+        return d
+
+    matcher = DiGraphMatcher(
+        incidence(arcs_a), incidence(arcs_b), node_match=categorical_node_match("kind", None)
+    )
+    return matcher.is_isomorphic()

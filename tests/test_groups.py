@@ -259,6 +259,25 @@ def test_subgroup_index_rejects_non_subgroup():
         subgroup_index(make_cyclic(6), {0, 1})
 
 
+def test_refusals_of_empty_tables_and_sets():
+    with pytest.raises(ValueError, match="empty table: a group has at least the identity"):
+        FiniteGroup.from_table("empty", [])
+    with pytest.raises(ValueError, match="dihedral parameter must be positive, got 0"):
+        make_dihedral(0)
+    z6 = make_cyclic(6)
+    for s in (set(), {0, 6}, {0, -1}):
+        assert not is_subgroup(z6, s)
+        with pytest.raises(ValueError, match="not a subgroup of the given group"):
+            subgroup_index(z6, s)
+
+
+def test_subgroup_generated_refuses_a_seed_out_of_range():
+    z6 = make_cyclic(6)
+    for s in (6, -1):
+        with pytest.raises(ValueError, match=rf"seed element {s} is out of range 0..5"):
+            subgroup_generated(z6, {1, s})
+
+
 def test_generators_match_the_greedy_oracle():
     for g in census_corpus(10):
         table = [list(row) for row in g.table]

@@ -1,5 +1,7 @@
 """Dihypergraph construction, structure predicates, isomorphism, dumps."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from cdhg import (
     Dihypergraph,
     cd_construct,
     census_corpus,
+    census_hypersets,
     ch_construct,
     dump_dihypergraph,
     hypergraph_isomorphic,
@@ -84,6 +87,12 @@ def test_ch_construct_cosets():
     z6 = make_cyclic(6)
     ch = ch_construct(z6, validate_hyperset(z6, [[0, 3]]))
     assert ch.edges == frozenset({(0, 3), (1, 4), (2, 5)})
+
+
+def test_ch_construct_rejects_a_hyperset_of_another_order():
+    y = validate_hyperset(make_cyclic(6), [[0, 3]])
+    with pytest.raises(ValueError, match="hyperset is over order 6, group has order 7"):
+        ch_construct(make_cyclic(7), y)
 
 
 def test_ch_construct_rejects_equivalent_members():
@@ -298,3 +307,50 @@ def test_isomorphic_finds_relabelled_random_copies(drawn, data):
     assert q is not None
     assert relabel(h, q) == other
     assert oracles.brute_hypergraph_isomorphism(n, arcs, other.arcs) is not None
+
+
+def census_arc_sets(orders):
+    """The distinct arc sets of the census instances of these orders with
+    member size <= 3, the first of each in corpus order."""
+    seen = {}
+    for g in census_corpus(max(orders)):
+        if g.order in orders:
+            for x in census_hypersets(g, 3):
+                h = cd_construct(g, x)
+                seen.setdefault(h.arcs, h)
+    return list(seen.values())
+
+
+def test_isomorphic_agrees_with_vf2_on_order_8_census_pairs():
+    # every pair that the arc count and the edge sizes do not tell apart
+    arc_sets = census_arc_sets({8})
+    assert len(arc_sets) == 34
+
+    def sizes(h):
+        return sorted(len(e) for _, e in h.arcs)
+
+    pairs = [(a, b) for i, a in enumerate(arc_sets) for b in arc_sets[i + 1:] if sizes(a) == sizes(b)]
+    assert len(pairs) == 217
+    found = 0
+    for a, b in pairs:
+        q = hypergraph_isomorphic(a, b)
+        assert (q is not None) == oracles.vf2_isomorphic(8, a.arcs, b.arcs)
+        if q is not None:
+            assert relabel(a, q) == b
+            found += 1
+    assert found == 83
+
+
+def test_isomorphic_finds_relabelled_census_arc_sets_of_order_9_and_10():
+    rng = random.Random(2021)
+    arc_sets = census_arc_sets({9, 10})
+    assert len(arc_sets) == 74
+    for h in arc_sets:
+        n = h.vertex_count
+        p = list(range(n))
+        rng.shuffle(p)
+        other = relabel(h, p)
+        q = hypergraph_isomorphic(h, other)
+        assert q is not None
+        assert relabel(h, q) == other
+        assert oracles.vf2_isomorphic(n, h.arcs, other.arcs)

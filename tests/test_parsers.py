@@ -231,16 +231,44 @@ def test_cli_reads_hyperset_text_and_exits_2_on_the_bad_token(case, tmp_path, ca
         assert captured.err == f"error: {message}\n"
 
 
+# the header lines and a row of canonical tokens of the wrong length;
+# a line that is "group " and spaces strips to "group", so it names no
+# group and is refused as the first line
+GROUP_HEADER_ERRORS = [
+    ("grp Z2\norder 2\ntable\n0 1\n1 0\n", "expected 'group <name>' on the first line, got 'grp Z2'"),
+    ("group  \norder 2\ntable\n0 1\n1 0\n", "expected 'group <name>' on the first line, got 'group'"),
+    ("group Z2\nsize 2\ntable\n0 1\n1 0\n", "expected 'order <n>' on the second line, got 'size 2'"),
+    ("group Z2\norder 2 2\ntable\n0 1\n1 0\n", "expected 'order <n>' on the second line, got 'order 2 2'"),
+    ("group Z2\norder 0\ntable\n", "order must be positive, got 0"),
+    ("group Z2\norder -2\ntable\n0 1\n1 0\n", "order must be positive, got -2"),
+    ("group Z2\norder 2\n0 1\n1 0\n", "expected 'table' on the third line, got '0 1'"),
+    ("group Z2\norder 2\ntable\n0 1\n1\n", "table row 1 has 1 entries, expected 2"),
+    ("group Z2\norder 2\ntable\n0 1\n1 0 1\n", "table row 1 has 3 entries, expected 2"),
+]
+
+
 @pytest.mark.parametrize("text, message", [
     ("group Z2\norder 2\ntable\n0 1\n1 x\n", "table row 1 has a non-integer entry: '1 x'"),
     ("group Z2\norder 2\ntable\n0 1\n1 -1\n", "entry table[1][1] = -1 is out of range 0..1"),
     ("group Z2\norder 2\ntable\n0 1\n1 +2\n", "entry table[1][1] = 2 is out of range 0..1"),
     ("group Z2\norder two\ntable\n0 1\n1 0\n", "order is not an integer: 'two'"),
+    *GROUP_HEADER_ERRORS,
 ])
 def test_load_group_messages(text, message):
     with pytest.raises(ValueError) as err:
         load_group(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", GROUP_HEADER_ERRORS)
+def test_cli_build_exits_2_on_a_bad_group_header(text, message, tmp_path, capsys):
+    group_path, hyperset_path = tmp_path / "g.txt", tmp_path / "x.txt"
+    group_path.write_text(text)
+    hyperset_path.write_text("0\n")
+    assert main(["build", "--group", str(group_path), "--hyperset", str(hyperset_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -345,18 +345,15 @@ def check_chain_against_brute_force(h, smalls=()):
     """Membership, order and normalizers of the chain-backed Aut(h)
     agree with the brute-force oracle, and none of them lists Aut(h).
 
-    Besides the given subgroups, the normalizer is taken of a cyclic
-    subgroup fixing 0, whose orbit of 0 is {0}, so every map of T_0
-    passes its filter, and of one generated by a map of T_0, so some
-    maps may pass and some not."""
+    The normalizer is taken of the given subgroups and of every regular
+    subgroup of Aut(h), each with its T_0 past the identity as its
+    generators."""
     n = h.vertex_count
     aut = aut_hypergraph(h)
     brute = set(oracles.brute_hypergraph_automorphisms(n, h.arcs))
     assert {p for p in permutations(range(n)) if Permutation(p) in aut} == brute
     assert aut.order == len(brute)
-    top, *rest = aut.transversals
-    fixing_0 = [r for reps in rest for r in reps[1:]]
-    for small in (*smalls, closure(n, *fixing_0[:1]), closure(n, top[-1])):
+    for small in (*smalls, *find_regular_subgroups(aut, n)):
         norm = normalizer(aut, small)
         assert {p.images for p in norm.perms} == oracles.brute_normalizer(
             brute, [p.images for p in small.perms]
@@ -450,19 +447,35 @@ def test_normalizer_on_a_chain_prunes_the_point_stabiliser(monkeypatch):
 
 def test_regular_search_keeps_the_semiregular_products_of_the_chain(monkeypatch):
     # the search down S8's chain keeps exactly the products of the chain
-    # that the powers oracle finds semiregular, and find_regular_subgroups
-    # makes its members from them in image order
+    # that the powers oracle finds semiregular
     import cdhg.perms
     from cdhg.groups import _chain_products
 
     _, aut = z8_loops_aut()
-    members = []
-    monkeypatch.setattr(cdhg.perms, "Permutation", lambda im: members.append(im) or Permutation(im))
+    kept = []
+    search = cdhg.perms._chain_search
+
+    def recorded(transversals, step, state):
+        found = search(transversals, step, state)
+        kept.extend(found)
+        return found
+
+    monkeypatch.setattr(cdhg.perms, "_chain_search", recorded)
     regs = find_regular_subgroups(aut, 8)
     reference = sorted(filter(oracles.is_semiregular, _chain_products(aut.transversals, 8)))
     assert len(reference) == 6406
-    assert members == reference
+    assert sorted(kept) == reference
     assert len(regs) == 2760
+
+
+def test_regular_subgroups_are_generated_by_their_t0():
+    # each subgroup found is one level past the identity's, and its
+    # generators are the maps of that level, in order of image of 0
+    _, aut = z8_loops_aut()
+    for r in find_regular_subgroups(aut, 8):
+        t0, *rest = r.transversals
+        assert all(reps == (tuple(range(8)),) for reps in rest)
+        assert [p.images for p in r.generators] == list(t0[1:])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -637,15 +650,49 @@ def test_normalizer_of_rotations_in_s3():
     (5, [(1, 0, 2, 3, 4), (0, 1, 3, 2, 4)], 8),
 ])
 def test_normalizer_of_intransitive_subgroups(n, gens, order):
-    # small fixes a point or is not transitive, so elements moving 0
-    # outside its orbit are scanned too
+    # small fixes a point or is not transitive, so it is refused; order
+    # is the size of its normalizer in S_n by the oracle, which the
+    # library no longer computes
     big = symmetric(n)
     small = closure(n, *gens)
-    norm = normalizer(big, small)
-    assert {p.images for p in norm.perms} == oracles.brute_normalizer(
+    with pytest.raises(ValueError, match=rf"small of order {small.order} is not regular on {n} points"):
+        normalizer(big, small)
+    assert len(oracles.brute_normalizer(
         [p.images for p in big.perms], [p.images for p in small.perms]
-    )
-    assert norm.order == order
+    )) == order
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_normalizer_matches_brute_force_on_regular_subgroups_of_symmetric(n):
+    big = symmetric(n)
+    brute = [p.images for p in big.perms]
+    regs = regular_in_symmetric(n)
+    assert len(regs) == {4: 4, 5: 6}[n]
+    for small in regs:
+        assert {p.images for p in normalizer(big, small).perms} == oracles.brute_normalizer(
+            brute, [p.images for p in small.perms]
+        )
+
+
+def test_normalizer_refuses_a_degree_mismatch_and_a_small_outside_big():
+    with pytest.raises(ValueError, match="degree mismatch: 4 vs 3"):
+        normalizer(symmetric(4), right_regular(make_cyclic(3)))
+    # the Klein four-group's translations are not in the cyclic ones
+    klein = right_regular(direct_product(make_cyclic(2), make_cyclic(2)))
+    with pytest.raises(ValueError, match="small is not contained in big"):
+        normalizer(right_regular(make_cyclic(4)), klein)
+
+
+def test_permgroup_holds_no_permutation_of_another_degree():
+    z4 = right_regular(make_cyclic(4))
+    assert Permutation((1, 2, 3, 0)) in z4
+    assert Permutation((1, 2, 0)) not in z4
+    assert Permutation((1, 2, 3, 4, 0)) not in z4
+
+
+def test_find_regular_subgroups_refuses_the_wrong_degree():
+    with pytest.raises(ValueError, match="group acts on degree 4, expected 5"):
+        find_regular_subgroups(symmetric(4), 5)
 
 
 def test_theorem2_fano(fano_group, fano_x):
