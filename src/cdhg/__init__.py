@@ -12,7 +12,7 @@ from .groups import (
     AUT_ORDER_CAP,
     CutoffExceeded,
     FiniteGroup,
-    GroupAutomorphism,
+    Permutation,
     direct_product,
     element_order,
     group_automorphisms,
@@ -57,10 +57,8 @@ from .hypergraphs import (
 from .perms import (
     CayleyRecovery,
     PermGroup,
-    Permutation,
     Theorem2Report,
     aut_hypergraph,
-    dump_permgroup,
     find_regular_subgroups,
     is_regular,
     normalizer,
@@ -91,7 +89,6 @@ __all__ = [
     "CutoffExceeded",
     "Dihypergraph",
     "FiniteGroup",
-    "GroupAutomorphism",
     "PermGroup",
     "Permutation",
     "Theorem2Report",
@@ -108,7 +105,6 @@ __all__ = [
     "ch_construct",
     "direct_product",
     "dump_dihypergraph",
-    "dump_permgroup",
     "element_order",
     "find_regular_subgroups",
     "group_automorphisms",

@@ -357,14 +357,8 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                     f"normal={report.g_r_normal} stabilizer={report.stabilizer_matches}",
                 )
 
-                in_aut = {
-                    a.map for a in auts_g if Permutation(a.map) in aut_h
-                }
-                outer_match = in_aut == {a.map for a in report.aut_g_x}
-                inn_in_aut = {
-                    a.map for a in inns_g if Permutation(a.map) in aut_h
-                }
-                inner_match = inn_in_aut == {a.map for a in inn_g_x(g, x)}
+                outer_match = {a for a in auts_g if a in aut_h} == set(report.aut_g_x)
+                inner_match = {a for a in inns_g if a in aut_h} == set(inn_g_x(g, x))
                 tallies["aut_intersection"].ok(
                     tag,
                     outer_match and inner_match,

@@ -8,7 +8,6 @@ value in hand is always a genuine group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -17,7 +16,7 @@ __all__ = [
     "AUT_ORDER_CAP",
     "CutoffExceeded",
     "FiniteGroup",
-    "GroupAutomorphism",
+    "Permutation",
     "make_cyclic",
     "make_dihedral",
     "direct_product",
@@ -322,13 +321,28 @@ def element_order(g: FiniteGroup, a: int) -> int:
 
 
 @dataclass(frozen=True)
-class GroupAutomorphism:
-    """A bijection of element indices satisfying map[i*j] = map[i]*map[j]."""
+class Permutation:
+    """A bijection of 0..degree-1, kept as its tuple of images: a vertex
+    permutation, or a group automorphism of element indices, which is a
+    vertex permutation of CD(G, X) (Theorem 2).  Composition is left to
+    right: a.then(b) sends v to b(a(v))."""
 
-    map: tuple[int, ...]
+    images: tuple[int, ...]
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    def __call__(self, v: int) -> int:
+        return self.images[v]
+
+    def then(self, other: "Permutation") -> "Permutation":
+        """Apply self first, then other."""
+        o = other.images
+        return Permutation(tuple(o[v] for v in self.images))
+
+    def is_identity(self) -> bool:
+        return all(v == i for i, v in enumerate(self.images))
 
 
 def _close_partial_map(
@@ -469,7 +483,8 @@ def _stabiliser_chain(
     0..n-1 whose only element fixing each of base = b_0, b_1, ... is the
     identity.  first(k, w) is the first map of G fixing b_0..b_(k-1) and
     sending b_k to w, as an image tuple, or None.  Refused as 'aut order
-    N over cap AUT_ORDER_CAP' before any element is listed.
+    over cap AUT_ORDER_CAP: at least N' before any element is listed, as
+    soon as the levels built so far give more than the cap.
 
     G^(k) holds the maps of G fixing each of b_0..b_(k-1), and T_k holds
     one map of G^(k) per point of b_k's orbit under G^(k), the identity
@@ -496,10 +511,16 @@ def _stabiliser_chain(
     sending b_k where g does and s = g then r^-1 in G^(k+1), so by
     induction from G^(m) = 1, G^(k) is generated by the maps found at
     levels k and above.
+
+    The levels built so far, from the last down to k, give
+    |G^(k)| <= |G|, a bound that only grows and ends at |G|; testing it
+    after each level refuses exactly the groups over the cap, without
+    building the levels below.
     """
     identity = tuple(range(n))
     found: list[tuple[int, ...]] = []
     transversals = []
+    order = 1
     for k in reversed(range(len(base))):
         b, fixed = base[k], base[:k]
         orbit = _orbit(b, found, identity)
@@ -519,19 +540,20 @@ def _stabiliser_chain(
             found.append(m)
             orbit = _orbit(b, found, identity)
         transversals.append((identity, *(orbit[v] for v in sorted(orbit) if v != b)))
+        order *= len(orbit)
+        if order > AUT_ORDER_CAP:
+            raise CutoffExceeded(f"aut order over cap {AUT_ORDER_CAP}: at least {order}")
     transversals.reverse()
-    order = math.prod(map(len, transversals))
-    if order > AUT_ORDER_CAP:
-        raise CutoffExceeded(f"aut order {order} over cap {AUT_ORDER_CAP}")
     return tuple(transversals), tuple(found)
 
 
 def _automorphism_search(
     g: FiniteGroup, members: Sequence[tuple[int, ...]]
-) -> tuple[GroupAutomorphism, ...]:
-    """The automorphisms of g that map every member to a member, sorted
-    by map: all of Aut(g) when members is empty, built and refused by
-    _stabiliser_chain over a base b_0, b_1, ... that generates g.
+) -> tuple[Permutation, ...]:
+    """The automorphisms of g that map every member to a member, as
+    Permutations of element indices sorted by images: all of Aut(g)
+    when members is empty, built and refused by _stabiliser_chain over
+    a base b_0, b_1, ... that generates g.
 
     The base is greedy: the elements of the members in index order,
     then the others, each joining when the subgroup H_(k-1) of the
@@ -595,21 +617,22 @@ def _automorphism_search(
     transversals, _ = _stabiliser_chain(
         n, base, lambda k, w: extend(k, [*base[:k], w]) if labels[w] == labels[base[k]] else None
     )
-    return tuple(GroupAutomorphism(m) for m in sorted(_chain_products(transversals, n)))
+    return tuple(map(Permutation, sorted(_chain_products(transversals, n))))
 
 
-def group_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
-    """All automorphisms of g, exact, sorted by map: the search of
+def group_automorphisms(g: FiniteGroup) -> tuple[Permutation, ...]:
+    """All automorphisms of g, exact, sorted by images: the search of
     _automorphism_search with no members to preserve."""
     return _automorphism_search(g, ())
 
 
-def inner_automorphisms(g: FiniteGroup) -> tuple[GroupAutomorphism, ...]:
-    """The conjugation maps x -> h^-1 x h, one per coset of the center."""
+def inner_automorphisms(g: FiniteGroup) -> tuple[Permutation, ...]:
+    """The conjugation maps x -> h^-1 x h, one per coset of the center,
+    sorted by images."""
     table = g.table
     seen = set()
     for h in range(g.order):
         hi = g.inverse[h]
         m = tuple(table[table[hi][x]][h] for x in range(g.order))
         seen.add(m)
-    return tuple(GroupAutomorphism(m) for m in sorted(seen))
+    return tuple(map(Permutation, sorted(seen)))

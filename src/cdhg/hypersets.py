@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import FiniteGroup, GroupAutomorphism, _automorphism_search, inner_automorphisms
+from .groups import FiniteGroup, Permutation, _automorphism_search, inner_automorphisms
 
 __all__ = [
     "CayleyHyperset",
@@ -142,12 +142,13 @@ def non_cayley_equivalent_representatives(g: FiniteGroup, x: CayleyHyperset) -> 
     return CayleyHyperset(group_order=g.order, members=tuple(reps))
 
 
-def _member_image(aut: GroupAutomorphism, member: Member) -> Member:
-    return tuple(sorted(aut.map[s] for s in member))
+def _member_image(aut: Permutation, member: Member) -> Member:
+    return tuple(sorted(aut.images[s] for s in member))
 
 
-def aut_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[GroupAutomorphism, ...]:
-    """Group automorphisms that permute the members of x, sorted by map.
+def aut_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[Permutation, ...]:
+    """Group automorphisms that permute the members of x, as Permutations
+    of element indices sorted by images.
 
     They come from the automorphism search itself, pruned by x: a base
     element maps only to elements of its order lying in members of the
@@ -158,8 +159,9 @@ def aut_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[GroupAutomorphism, ...]:
     return _automorphism_search(g, x.members)
 
 
-def inn_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[GroupAutomorphism, ...]:
-    """Inner automorphisms that permute the members of x."""
+def inn_g_x(g: FiniteGroup, x: CayleyHyperset) -> tuple[Permutation, ...]:
+    """Inner automorphisms that permute the members of x, sorted by
+    images."""
     member_set = x.member_set()
     return tuple(
         a

@@ -1,7 +1,8 @@
 """Vertex permutations, regular subgroups, and the normalizer check.
 
 Composition is left to right throughout: (a then b) sends v to b[a[v]],
-matching the exponent convention v^(ab) = (v^a)^b.
+matching the exponent convention v^(ab) = (v^a)^b.  Permutation is
+groups.Permutation, re-exported.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Optional
 
 from .groups import (
     FiniteGroup,
-    GroupAutomorphism,
+    Permutation,
     _chain_of_elements,
     _chain_products,
     _chain_search,
@@ -35,37 +36,7 @@ __all__ = [
     "regular_to_cayley",
     "normalizer",
     "verify_theorem2",
-    "dump_permgroup",
 ]
-
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Apply self first, then other."""
-        o = other.images
-        return Permutation(tuple(o[v] for v in self.images))
-
-    def inverse(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            out[v] = i
-        return Permutation(tuple(out))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
 
 
 class PermGroup:
@@ -102,14 +73,18 @@ class PermGroup:
         self.generators = generators
 
     @staticmethod
-    def from_elements(
+    def _from_elements(
         degree: int,
         elements: Iterable[tuple[int, ...]],
         generators: Optional[tuple[Permutation, ...]] = None,
     ) -> "PermGroup":
-        """The group whose chain groups._chain_of_elements reads off these
-        image tuples, under its condition; the generators default to the
-        chain's non-identity maps."""
+        """The group G whose chain groups._chain_of_elements reads off
+        these image tuples of its elements; the generators default to the
+        chain's non-identity maps.  elements must hold, for each k and
+        each point w of k's orbit under the maps of G fixing 0..k-1, one
+        such map sending k to w, as all of G does; nothing checks it, and
+        other input gives a wrong chain: {id, (0 1), (1 2)} reads as
+        order 4."""
         transversals = _chain_of_elements(degree, elements)
         if generators is None:
             generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
@@ -148,16 +123,13 @@ class PermGroup:
                 cur = itemgetter(*cur)(undo)
         return True
 
-    def sorted_perms(self) -> list[Permutation]:
-        return sorted(self.perms, key=lambda p: p.images)
-
 
 def right_regular(g: FiniteGroup) -> PermGroup:
     """The right translations v -> v*h, one per group element: the
     columns of the table, each moving 0 unless it is the identity."""
     columns = list(zip(*g.table))
     gens = tuple(Permutation(columns[h]) for h in g.generators)
-    return PermGroup.from_elements(g.order, columns, gens)
+    return PermGroup._from_elements(g.order, columns, gens)
 
 
 def is_regular(p: PermGroup, n: int) -> bool:
@@ -220,7 +192,7 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     and perms is not listed on the group.  A product is composed by a
     per-member itemgetter and looked up in the index; a product outside
     the index is a conflict.  Each subgroup found is read off its
-    members by PermGroup.from_elements: every member but the identity
+    members by PermGroup._from_elements: every member but the identity
     moves 0, so its chain is T_0 alone, and its generators are T_0 past
     the identity.  Products are not memoised: in S8 a table of them
     answered 31% of lookups and doubled the search's peak memory
@@ -289,7 +261,7 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     # each subgroup fills the slots one way, so results has no repeats;
     # indices follow image order, so sorted index tuples sort the
     # subgroups as their sorted image lists would
-    return [PermGroup.from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]
+    return [PermGroup._from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]
 
 
 @dataclass(frozen=True)
@@ -388,7 +360,7 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
         return state if all(x[sv] == t0[x[w]][x[v]] for v, w, sv in checks[k]) else None
 
     kept = _chain_search(((t0[0],), *big.transversals[1:]), step, True)
-    return PermGroup.from_elements(n, [*kept, *t0])
+    return PermGroup._from_elements(n, [*kept, *t0])
 
 
 @dataclass(frozen=True)
@@ -397,7 +369,7 @@ class Theorem2Report:
 
     group_order: int
     aut_h_order: int
-    aut_g_x: tuple[GroupAutomorphism, ...]
+    aut_g_x: tuple[Permutation, ...]
     normalizer_order: int
     product_factorization: bool
     order_matches: bool
@@ -435,7 +407,7 @@ def verify_theorem2(
     g_r = right_regular(g)
     norm = normalizer(aut, g_r)
     auts = aut_g_x(g, x)
-    sigma = tuple(a.map for a in auts)
+    sigma = tuple(a.images for a in auts)
     # G_R is regular, so its T_0 lists all of it; product holds each
     # sigma then t with t in G_R
     translations = g_r.transversals[0]
@@ -458,11 +430,3 @@ def verify_theorem2(
         g_r_normal=g_r_normal,
         stabilizer_matches=stabilizer == set(sigma),
     )
-
-
-def dump_permgroup(p: PermGroup) -> str:
-    """One 'perm 0->a 1->b ...' line per permutation, sorted."""
-    lines = []
-    for perm in p.sorted_perms():
-        lines.append("perm " + " ".join(f"{i}->{v}" for i, v in enumerate(perm.images)))
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Shared fixtures: the 7-point running example and the census run."""
 
+import re
 import time
 
 import pytest
@@ -41,6 +42,14 @@ def dihypergraph_texts(draw, n=None):
         f"arc {v} : {' '.join(map(str, e))}\n" for v, e in arcs
     )
     return n, arcs, text
+
+
+def refused_at_least(message):
+    """N of the order cap's refusal 'aut order over cap 50000: at least
+    N', a lower bound on the refused group's order."""
+    m = re.fullmatch(r"aut order over cap 50000: at least (\d+)", str(message))
+    assert m, f"not the order cap's refusal: {message}"
+    return int(m[1])
 
 
 # one "PASS criterion n: ..." line per acceptance criterion, echoed after

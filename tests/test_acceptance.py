@@ -72,7 +72,7 @@ def test_criterion_02_single_closure(fano_group, fano_x):
 def test_criterion_03_normalizer_factorization(fano_group, fano_x, fano_cd):
     start = time.monotonic()
     brute = oracles.brute_hypergraph_automorphisms(7, fano_cd.arcs)
-    aut = PermGroup.from_elements(7, brute)
+    aut = PermGroup._from_elements(7, brute)
     norm = normalizer(aut, right_regular(fano_group))
     stabilizer = [p for p in norm.perms if p(0) == 0]
     rep = verify_theorem2(fano_group, fano_x, aut=aut)

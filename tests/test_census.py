@@ -180,6 +180,23 @@ def test_run_census_tallies_a_generator_that_breaks_an_arc(monkeypatch):
     assert result.render().endswith("result: FAIL\n")
 
 
+def test_run_census_tallies_an_inner_side_that_disagrees(monkeypatch):
+    # aut_intersection compares the inner automorphisms lying in Aut(h)
+    # with inn_g_x; with inn_g_x empty, the identity, an inner
+    # automorphism in every Aut(h), fails every instance on the inner
+    # side alone
+    import cdhg.census
+
+    monkeypatch.setattr(cdhg.census, "inn_g_x", lambda g, x: ())
+    result = run_census(max_order=4, max_member_size=2)
+    assert result.tallies["aut_intersection"].failures == [
+        f"aut_intersection: {g.name} X={list(x.members)}: outer=True inner=False"
+        for g in census_corpus(4)
+        for x in census_hypersets(g, 2)
+    ]
+    assert result.render().endswith("result: FAIL\n")
+
+
 def test_full_census_foreign_presentations(full_census):
     census, _ = full_census
     foreign = dict(census.foreign_presentations)

@@ -8,6 +8,7 @@ from pathlib import Path
 import cdhg
 from cdhg import direct_product, make_cyclic, serialize_group
 from cdhg.cli import main
+from conftest import refused_at_least
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -155,20 +156,27 @@ def analyze_step(capsys, tmp_path, g):
     return out.splitlines()
 
 
+def refused_aut_g_x(lines):
+    """N of the report line 'aut_g_x: skipped: aut order over cap 50000:
+    at least N'."""
+    (line,) = [line for line in lines if line.startswith("aut_g_x: ")]
+    return refused_at_least(line.removeprefix("aut_g_x: skipped: "))
+
+
 def test_analyze_refuses_group_automorphisms_over_cap(capsys, tmp_path):
     # X = {{0, 1}} is preserved by the 322,560 automorphisms of Z2^5
     # that fix 1, and the cap refuses them by the order of their chain
     lines = analyze_step(capsys, tmp_path, elementary_abelian_2(5))
     assert "aut_h: skipped: over cutoff (32 > 12)" in lines
-    assert "aut_g_x: skipped: aut order 322560 over cap 50000" in lines
+    assert 50000 < refused_aut_g_x(lines) <= 322560
 
 
 def test_analyze_refuses_group_automorphisms_of_z2_7(capsys, tmp_path):
-    # |GL(7,2)| / 127 automorphisms of Z2^7 fix 1; the refusal names
+    # |GL(7,2)| / 127 automorphisms of Z2^7 fix 1; the refusal bounds
     # their number without listing one
     lines = analyze_step(capsys, tmp_path, elementary_abelian_2(7))
     assert "aut_h: skipped: over cutoff (128 > 12)" in lines
-    assert "aut_g_x: skipped: aut order 1290157424640 over cap 50000" in lines
+    assert 50000 < refused_aut_g_x(lines) <= 1290157424640
 
 
 def test_analyze_is_deterministic(capsys):

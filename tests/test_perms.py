@@ -24,7 +24,6 @@ from cdhg import (
     census_corpus,
     census_hypersets,
     direct_product,
-    dump_permgroup,
     find_regular_subgroups,
     hypergraph_isomorphic,
     is_regular,
@@ -38,14 +37,15 @@ from cdhg import (
     validate_hyperset,
     verify_theorem2,
 )
-from conftest import dihypergraph_texts
+from cdhg.perms import _inverse
+from conftest import dihypergraph_texts, refused_at_least
 
 CORPUS8 = census_corpus(8)
 
 
 def closure(n, *gens):
     """The permutation group generated by image tuples, closed by the oracle."""
-    return PermGroup.from_elements(n, oracles._perm_closure(gens, n))
+    return PermGroup._from_elements(n, oracles._perm_closure(gens, n))
 
 
 def symmetric(n):
@@ -72,8 +72,10 @@ def test_composition_is_left_to_right():
 
 def test_inverse_and_identity():
     a = Permutation((2, 0, 3, 1))
-    assert a.then(a.inverse()).is_identity()
-    assert a.inverse().then(a) == Permutation.identity(4)
+    undo = Permutation(_inverse(a.images))
+    assert a.then(undo).is_identity()
+    assert undo.then(a) == Permutation(tuple(range(4)))
+    assert not a.is_identity()
 
 
 def test_right_regular_cyclic():
@@ -92,7 +94,7 @@ def test_right_regular_dihedral_fixed_points():
     p = right_regular(make_dihedral(3))
     assert p.order == 6
     with_fixed = [q for q in p.perms if any(q(v) == v for v in range(6))]
-    assert with_fixed == [Permutation.identity(6)]
+    assert with_fixed == [Permutation(tuple(range(6)))]
 
 
 def test_is_regular():
@@ -156,8 +158,9 @@ def test_aut_refuses_large_order_before_enumerating(monkeypatch):
     for n, order in ((9, 362880), (12, 479001600)):
         zn = make_cyclic(n)
         h = cd_construct(zn, validate_hyperset(zn, [[0]]))
-        with pytest.raises(CutoffExceeded, match=rf"aut order {order} over cap 50000"):
+        with pytest.raises(CutoffExceeded) as refused:
             aut_hypergraph(h)
+        assert 50000 < refused_at_least(refused.value) <= order
 
 
 def test_isomorphism_refuses_over_cutoff():
@@ -329,7 +332,7 @@ def test_chain_of_elements_matches_the_closure(data):
     n = data.draw(st.integers(1, 6))
     gens = data.draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
     elements = oracles._perm_closure(gens, n)
-    group = PermGroup.from_elements(n, elements)
+    group = PermGroup._from_elements(n, elements)
     assert group.order == len(elements)
     assert {p.images for p in group.perms} == elements
     assert {p for p in permutations(range(n)) if Permutation(p) in group} == elements
@@ -589,7 +592,7 @@ def test_regular_to_cayley_rejects_a_transitive_set_that_is_not_a_group():
     # read off it has a map fixing 0, so its order is 4, not 3
     z3 = make_cyclic(3)
     h = cd_construct(z3, validate_hyperset(z3, [[0]]))
-    r = PermGroup.from_elements(3, ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
+    r = PermGroup._from_elements(3, ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
     assert not is_regular(r, 3)
     with pytest.raises(ValueError, match="not regular"):
         regular_to_cayley(h, r)
@@ -726,8 +729,3 @@ def test_theorem2_accepts_precomputed_aut(fano_group, fano_x, fano_cd):
     aut = aut_hypergraph(fano_cd)
     report = verify_theorem2(fano_group, fano_x, aut=aut)
     assert report.all_pass
-
-
-def test_dump_permgroup_golden():
-    text = dump_permgroup(right_regular(make_cyclic(2)))
-    assert text == "perm 0->0 1->1\nperm 0->1 1->0\n"
