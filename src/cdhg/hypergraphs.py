@@ -149,27 +149,32 @@ def to_cayley_digraph(g: FiniteGroup, x: CayleyHyperset) -> frozenset[tuple[int,
     return frozenset((h, g.table[s][h]) for s in connection for h in g.elements())
 
 
-def _vertex_signatures(h: Dihypergraph) -> list[tuple]:
-    """Isomorphism-invariant vertex labels: sizes of out-edges and of
-    containing edges, refined once by the labels seen across shared edges."""
+def _pair_codes(h: Dihypergraph) -> list[list[int]]:
+    """code[u][v], a label of the ordered vertex pair (u, v) that every
+    isomorphism keeps: for each edge size, the arcs from u whose edge
+    holds v, the arcs from v whose edge holds u and the edges holding
+    both, and on the diagonal also u's own arcs.  Each count is one digit
+    in base len(arcs) + 1, the sizes taking four digits each in
+    increasing order, so equal codes mean equal counts.  This is the pair
+    colouring of Weisfeiler & Leman (1968) before any refinement."""
     n = h.vertex_count
-    out_sizes: list[list[int]] = [[] for _ in range(n)]
-    in_sizes: list[list[int]] = [[] for _ in range(n)]
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for v, e in h.arcs:
-        out_sizes[v].append(len(e))
-    for e in h.edges:
+    base = len(h.arcs) + 1
+    edges = h.edges
+    unit = {s: base ** (4 * i) for i, s in enumerate(sorted({len(e) for e in edges}))}
+    code = [[0] * n for _ in range(n)]
+    for u, e in h.arcs:
+        d = unit[len(e)]
+        code[u][u] += d * base**3
         for v in e:
-            in_sizes[v].append(len(e))
-            neighbors[v].update(e)
-    base = [
-        (tuple(sorted(out_sizes[v])), tuple(sorted(in_sizes[v]))) for v in range(n)
-    ]
-    refined = []
-    for v in range(n):
-        around = sorted(base[u] for u in neighbors[v] if u != v)
-        refined.append((base[v], tuple(around)))
-    return refined
+            code[u][v] += d
+            code[v][u] += d * base
+    for e in edges:
+        d = unit[len(e)] * base**2
+        for u in e:
+            row = code[u]
+            for v in e:
+                row[v] += d
+    return code
 
 
 def _completion_search(
@@ -180,11 +185,15 @@ def _completion_search(
     0..len(prefix)-1, it returns the first arc-preserving completion, as
     an image tuple, or None.
 
-    Backtracking in natural vertex order; each arc of a is verified as
-    soon as its last vertex receives an image.  Candidate images are
-    limited to vertices with an equal signature, and a prefix image
-    without one ends the search at once.  The invariants are computed
-    once, so repeated prefixes share them.
+    Backtracking in natural vertex order, candidate images in natural
+    order.  Every isomorphism keeps the pair codes, so the pruning is
+    exact and the first completion is the one the unpruned search finds:
+    the images of v are the w whose diagonal code and sorted row of codes
+    equal v's, and a prefix image without both ends the search at once.
+    At step k, w is kept only if its codes against the images of
+    0..k-1 equal those of k against 0..k-1; then each arc of a whose last
+    vertex is k is verified.  The codes are computed once, so repeated
+    prefixes share them.
     """
     n = a.vertex_count
     if n != b.vertex_count or len(a.arcs) != len(b.arcs):
@@ -193,13 +202,14 @@ def _completion_search(
         return lambda prefix: None
     if n > AUT_VERTEX_CUTOFF:
         raise CutoffExceeded(f"over cutoff ({n} > {AUT_VERTEX_CUTOFF})")
-    sig_a = _vertex_signatures(a)
-    sig_b = _vertex_signatures(b)
-    if sorted(sig_a) != sorted(sig_b):
+    code_a = _pair_codes(a)
+    code_b = code_a if b is a else _pair_codes(b)
+    key_a, key_b = ([(row[v], sorted(row)) for v, row in enumerate(c)] for c in (code_a, code_b))
+    if sorted(key_a) != sorted(key_b):
         return lambda prefix: None
-    candidates = [
-        tuple(w for w in range(n) if sig_b[w] == sig_a[v]) for v in range(n)
-    ]
+    candidates = [tuple(w for w in range(n) if key_b[w] == key_a[v]) for v in range(n)]
+    # the codes of k against 0..k-1, which the image of k must match
+    heads = [row[:k] for k, row in enumerate(code_a)]
     arcs_b = {(v, frozenset(e)) for v, e in b.arcs}
     # arcs of a scheduled at the step where their last vertex gets mapped
     pending: list[list[Arc]] = [[] for _ in range(n)]
@@ -216,8 +226,12 @@ def _completion_search(
         def descend(k: int) -> bool:
             if k == n:
                 return True
+            done = mapping[:k]
             for w in choices[k]:
                 if used[w]:
+                    continue
+                row = code_b[w]
+                if [row[m] for m in done] != heads[k]:
                     continue
                 mapping[k] = w
                 used[w] = True

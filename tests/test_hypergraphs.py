@@ -26,6 +26,7 @@ from cdhg import (
     uniformity,
     validate_hyperset,
 )
+from cdhg.hypergraphs import _pair_codes
 from conftest import FANO_EDGES, dihypergraph_texts
 
 CORPUS8 = census_corpus(8)
@@ -341,10 +342,13 @@ def test_isomorphic_agrees_with_vf2_on_order_8_census_pairs():
     assert found == 83
 
 
-def test_isomorphic_finds_relabelled_census_arc_sets_of_order_9_and_10():
+def check_relabelled_census_arc_sets(orders, count):
+    """Each distinct census arc set of these orders is found isomorphic to
+    a seeded relabelling of itself, by a map that carries its arcs, and
+    VF2 agrees."""
     rng = random.Random(2021)
-    arc_sets = census_arc_sets({9, 10})
-    assert len(arc_sets) == 74
+    arc_sets = census_arc_sets(orders)
+    assert len(arc_sets) == count
     for h in arc_sets:
         n = h.vertex_count
         p = list(range(n))
@@ -354,3 +358,24 @@ def test_isomorphic_finds_relabelled_census_arc_sets_of_order_9_and_10():
         assert q is not None
         assert relabel(h, q) == other
         assert oracles.vf2_isomorphic(n, h.arcs, other.arcs)
+
+
+def test_isomorphic_finds_relabelled_census_arc_sets_of_order_9_and_10():
+    check_relabelled_census_arc_sets({9, 10}, 74)
+
+
+def test_isomorphic_finds_relabelled_census_arc_sets_of_order_11_and_12():
+    check_relabelled_census_arc_sets({11, 12}, 111)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=dihypergraph_texts(), data=st.data())
+def test_pair_codes_follow_a_relabelling(drawn, data):
+    # the search prunes by these codes, so they must be a label of the
+    # pair and not of the vertex indices: a relabelling moves them along
+    n, _, text = drawn
+    h = load_dihypergraph(text)
+    p = data.draw(st.permutations(range(n)))
+    before = _pair_codes(h)
+    after = _pair_codes(relabel(h, p))
+    assert all(after[p[u]][p[v]] == before[u][v] for u in range(n) for v in range(n))

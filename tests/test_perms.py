@@ -322,6 +322,29 @@ def test_aut_generators_give_the_chain_order_by_sympy():
     assert {5040, 40320, 1296, 3840} <= orders
 
 
+@pytest.mark.parametrize(
+    "name, member, order",
+    [
+        ("Z11", {0, 3, 5, 8}, 22),
+        ("Z12", {0, 5, 10}, 24),
+        ("Z12", {0, 3, 7}, 12),
+        ("Z12", {0, 4, 5, 8}, 5184),
+        ("D6", {0, 4, 7, 10}, 48),
+        ("Z3xZ4", {0, 7, 8}, 24),
+        ("Z3xZ4", {0, 1, 4, 9}, 24),
+    ],
+)
+def test_aut_of_slow_order_11_and_12_closures(name, member, order):
+    # single closures on which the completion search once took 3-21 s;
+    # sympy's Schreier-Sims closes the searched maps to the chain's order
+    g = next(g for g in census_corpus(12) if g.name == name)
+    aut = aut_hypergraph(cd_construct(g, single_cayley_closure(g, member)))
+    assert aut.order == order
+    group = SympyPermutationGroup([SympyPermutation(list(p.images)) for p in aut.generators])
+    assert group.order() == order
+    assert all(group.contains(SympyPermutation(list(r))) for reps in aut.transversals for r in reps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_chain_of_elements_matches_the_closure(data):
