@@ -9,7 +9,6 @@ deterministic text; any failure is reproduced verbatim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .groups import (
     CutoffExceeded,
@@ -80,14 +79,16 @@ CHECK_NAMES = (
 )
 
 
-@dataclass
 class CheckTally:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    skip_reasons: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "passed", "failed", "skipped", "skip_reasons", "failures")
+
+    def __init__(self, name: str, passed: int = 0, failed: int = 0, skipped: int = 0):
+        self.name = name
+        self.passed = passed
+        self.failed = failed
+        self.skipped = skipped
+        self.skip_reasons: list[str] = []
+        self.failures: list[str] = []
 
     def ok(self, instance: str, good: bool, detail: str = "") -> None:
         if good:
@@ -112,20 +113,39 @@ class CheckTally:
         return text
 
 
-@dataclass
 class CensusResult:
     """foreign_presentations: one (instance, profiles) entry, in census
     order, per surveyed instance that is also Cayley over a group of
     another element-order profile, each profile written like '1-2-4-4'.
     Instances whose automorphism group is refused are not surveyed."""
 
-    max_order: int
-    max_member_size: int
-    group_count: int
-    instance_count: int
-    tallies: dict[str, CheckTally]
-    nontrivial_regular_round_trips: int
-    foreign_presentations: tuple[tuple[str, tuple[str, ...]], ...]
+    __slots__ = (
+        "max_order",
+        "max_member_size",
+        "group_count",
+        "instance_count",
+        "tallies",
+        "nontrivial_regular_round_trips",
+        "foreign_presentations",
+    )
+
+    def __init__(
+        self,
+        max_order: int,
+        max_member_size: int,
+        group_count: int,
+        instance_count: int,
+        tallies: dict[str, CheckTally],
+        nontrivial_regular_round_trips: int,
+        foreign_presentations: tuple[tuple[str, tuple[str, ...]], ...],
+    ):
+        self.max_order = max_order
+        self.max_member_size = max_member_size
+        self.group_count = group_count
+        self.instance_count = instance_count
+        self.tallies = tallies
+        self.nontrivial_regular_round_trips = nontrivial_regular_round_trips
+        self.foreign_presentations = foreign_presentations
 
     @property
     def all_pass(self) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -17,11 +16,13 @@ from .census import run_census
 __all__ = ["AnalysisReport", "build_analysis_report", "main"]
 
 
-@dataclass(frozen=True)
 class AnalysisReport:
     """Ordered key/value lines describing one (group, hyperset) instance."""
 
-    entries: tuple[tuple[str, str], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, str], ...]):
+        self.entries = entries
 
     def render(self) -> str:
         return "\n".join(f"{k}: {v}" for k, v in self.entries) + "\n"

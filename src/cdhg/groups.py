@@ -8,7 +8,6 @@ value in hand is always a genuine group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -40,7 +39,11 @@ class CutoffExceeded(ValueError):
     """An exact computation was refused because the input is over desk scale."""
 
 
-@dataclass(frozen=True)
+def _refuse_change(self, name, value=None):
+    """__setattr__ and __delattr__ of the immutable value types."""
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
@@ -48,15 +51,48 @@ class FiniteGroup:
     functions so the axioms are checked.  The name is a display label
     and generators are what validation found; neither takes part in
     equality.
+
+    This and the other value types (Permutation, CayleyHyperset,
+    Dihypergraph, UndirectedHypergraph) are plain slotted classes with
+    their __init__, ==, hash and immutability written out: dataclasses
+    would load inspect and ast and generate the methods on every import.
+    Equality is over the compared fields and only between instances of
+    one class; the hash is that of their tuple.
     """
 
-    name: str = field(compare=False)
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    # the greedy generating set Light's test ran over: each element, in
-    # index order, outside the subgroup the earlier ones generate
-    generators: tuple[int, ...] = field(compare=False)
+    __slots__ = ("name", "order", "table", "inverse", "generators")
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __init__(
+        self,
+        name: str,
+        order: int,
+        table: tuple[tuple[int, ...], ...],
+        inverse: tuple[int, ...],
+        # the greedy generating set Light's test ran over: each element,
+        # in index order, outside the subgroup the earlier ones generate
+        generators: tuple[int, ...],
+    ):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "order", order)
+        put(self, "table", table)
+        put(self, "inverse", inverse)
+        put(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.table, self.inverse) == (other.order, other.table, other.inverse)
+
+    def __hash__(self):
+        return hash((self.order, self.table, self.inverse))
+
+    def __repr__(self):
+        return (
+            f"FiniteGroup(name={self.name!r}, order={self.order!r}, table={self.table!r}, "
+            f"inverse={self.inverse!r}, generators={self.generators!r})"
+        )
 
     @property
     def identity(self) -> int:
@@ -320,14 +356,28 @@ def element_order(g: FiniteGroup, a: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A bijection of 0..degree-1, kept as its tuple of images: a vertex
     permutation, or a group automorphism of element indices, which is a
     vertex permutation of CD(G, X) (Theorem 2).  Composition is left to
     right: a.then(b) sends v to b(a(v))."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
+
+    def __repr__(self):
+        return f"Permutation(images={self.images!r})"
 
     @property
     def degree(self) -> int:

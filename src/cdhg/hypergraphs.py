@@ -8,11 +8,10 @@ share one edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .groups import CutoffExceeded, FiniteGroup
+from .groups import CutoffExceeded, FiniteGroup, _refuse_change
 from .hypersets import CayleyHyperset, cayley_equivalence_classes, right_translate
 
 __all__ = [
@@ -39,10 +38,27 @@ Arc = tuple[int, tuple[int, ...]]
 AUT_VERTEX_CUTOFF = 12
 
 
-@dataclass(frozen=True)
 class Dihypergraph:
-    vertex_count: int
-    arcs: frozenset[Arc]
+    """A vertex count and its arcs (vertex, edge).  A value type like
+    groups.FiniteGroup: immutable, equal and hashed by both fields."""
+
+    __slots__ = ("vertex_count", "arcs")
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __init__(self, vertex_count: int, arcs: frozenset[Arc]):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "arcs", arcs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.arcs) == (other.vertex_count, other.arcs)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.arcs))
+
+    def __repr__(self):
+        return f"Dihypergraph(vertex_count={self.vertex_count!r}, arcs={self.arcs!r})"
 
     @property
     def edges(self) -> frozenset[tuple[int, ...]]:
@@ -52,10 +68,26 @@ class Dihypergraph:
         return sorted(self.arcs)
 
 
-@dataclass(frozen=True)
 class UndirectedHypergraph:
-    vertex_count: int
-    edges: frozenset[tuple[int, ...]]
+    """A vertex count and its edges; a value type like Dihypergraph."""
+
+    __slots__ = ("vertex_count", "edges")
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __init__(self, vertex_count: int, edges: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return f"UndirectedHypergraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
 
 def cd_construct(g: FiniteGroup, x: CayleyHyperset) -> Dihypergraph:

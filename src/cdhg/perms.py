@@ -8,7 +8,6 @@ groups.Permutation, re-exported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -264,13 +263,15 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     return [PermGroup._from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]
 
 
-@dataclass(frozen=True)
 class CayleyRecovery:
     """Output of the regular-subgroup reconstruction: a group and a
     hyperset over the same vertex labels 0..n-1 as the dihypergraph."""
 
-    group: FiniteGroup
-    hyperset: CayleyHyperset
+    __slots__ = ("group", "hyperset")
+
+    def __init__(self, group: FiniteGroup, hyperset: CayleyHyperset):
+        self.group = group
+        self.hyperset = hyperset
 
 
 def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
@@ -363,19 +364,42 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     return PermGroup._from_elements(n, [*kept, *t0])
 
 
-@dataclass(frozen=True)
 class Theorem2Report:
     """Results of the normalizer factorization checks for one instance."""
 
-    group_order: int
-    aut_h_order: int
-    aut_g_x: tuple[Permutation, ...]
-    normalizer_order: int
-    product_factorization: bool
-    order_matches: bool
-    trivial_intersection: bool
-    g_r_normal: bool
-    stabilizer_matches: bool
+    __slots__ = (
+        "group_order",
+        "aut_h_order",
+        "aut_g_x",
+        "normalizer_order",
+        "product_factorization",
+        "order_matches",
+        "trivial_intersection",
+        "g_r_normal",
+        "stabilizer_matches",
+    )
+
+    def __init__(
+        self,
+        group_order: int,
+        aut_h_order: int,
+        aut_g_x: tuple[Permutation, ...],
+        normalizer_order: int,
+        product_factorization: bool,
+        order_matches: bool,
+        trivial_intersection: bool,
+        g_r_normal: bool,
+        stabilizer_matches: bool,
+    ):
+        self.group_order = group_order
+        self.aut_h_order = aut_h_order
+        self.aut_g_x = aut_g_x
+        self.normalizer_order = normalizer_order
+        self.product_factorization = product_factorization
+        self.order_matches = order_matches
+        self.trivial_intersection = trivial_intersection
+        self.g_r_normal = g_r_normal
+        self.stabilizer_matches = stabilizer_matches
 
     @property
     def aut_g_x_order(self) -> int:
@@ -414,10 +438,16 @@ def verify_theorem2(
     product = set(_chain_products((translations, sigma), g.order))
     elements = set(_chain_products(norm.transversals, g.order))
     # conjugation by q is an injective homomorphism, so it sends
-    # <generators> = G_R onto G_R once it sends each generator into G_R
+    # <generators> = G_R onto G_R once it sends each generator into G_R.
+    # The q that do form a group, and every element of norm is a product
+    # of its chain's transversal maps, each itself an element of norm: so
+    # every element normalises G_R exactly when every non-identity map
+    # of the chain does, and only those are tested
     probes = [itemgetter(*s) for s in _generator_images(g_r)]
     inside = set(translations)
-    g_r_normal = all(_conjugates_into(q, probes, inside) for q in elements)
+    g_r_normal = all(
+        _conjugates_into(q, probes, inside) for t in norm.transversals for q in t[1:]
+    )
     stabilizer = {q for q in elements if q[0] == 0}
     return Theorem2Report(
         group_order=g.order,

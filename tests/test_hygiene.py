@@ -1,10 +1,17 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-helper outlives its last caller."""
+"""Source hygiene: no module imports a name it never uses, no private
+helper outlives its last caller, importing the package loads neither
+dataclasses nor inspect, and the plain value classes keep value
+semantics."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from cdhg import CayleyHyperset, Dihypergraph, FiniteGroup, Permutation, UndirectedHypergraph
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "cdhg").glob("*.py"))
@@ -81,3 +88,91 @@ def test_dead_helpers_finds_an_uncalled_helper():
         "def _by_attribute():\n    pass\n",
     }
     assert dead_helpers(sources) == [("a", "_dead")]
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cdhg, cdhg.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "cdhg.cli" in added
+    assert [m for m in ("dataclasses", "inspect") if m in added] == []
+
+
+# (class, keyword fields built afresh on each call, the fields == and hash read)
+VALUE_TYPES = [
+    (
+        FiniteGroup,
+        lambda: dict(
+            name="Z3",
+            order=3,
+            table=tuple(tuple(row) for row in [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+            inverse=tuple([0, 2, 1]),
+            generators=tuple([1]),
+        ),
+        ("order", "table", "inverse"),
+    ),
+    (Permutation, lambda: dict(images=tuple([1, 2, 0])), ("images",)),
+    (CayleyHyperset, lambda: dict(group_order=3, members=(tuple([0, 1]),)), ("group_order", "members")),
+    (
+        Dihypergraph,
+        lambda: dict(vertex_count=3, arcs=frozenset({(0, tuple([0, 1])), (1, (1, 2))})),
+        ("vertex_count", "arcs"),
+    ),
+    (
+        UndirectedHypergraph,
+        lambda: dict(vertex_count=3, edges=frozenset({tuple([0, 1]), (1, 2)})),
+        ("vertex_count", "edges"),
+    ),
+]
+VALUE_IDS = [cls.__name__ for cls, _, _ in VALUE_TYPES]
+
+
+@pytest.mark.parametrize("cls, fields, compared", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_are_equal_and_hash_by_their_compared_fields(cls, fields, compared):
+    a, b = cls(**fields()), cls(*fields().values())
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(tuple(fields()[f] for f in compared))
+    assert {a: "found"}[b] == "found"
+    assert all(getattr(a, name) == value for name, value in fields().items())
+
+
+@pytest.mark.parametrize("cls, fields, compared", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_do_not_equal_another_class(cls, fields, compared):
+    a = cls(**fields())
+    assert a.__eq__(tuple(fields().values())) is NotImplemented
+    assert a != tuple(fields().values())
+
+
+@pytest.mark.parametrize("cls, fields, compared", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_are_immutable(cls, fields, compared):
+    a = cls(**fields())
+    for name, value in fields().items():
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == cls(**fields())
+
+
+def test_permutation_hashes_as_the_tuple_of_its_images():
+    t = (2, 0, 1, 3)
+    assert hash(Permutation(t)) == hash((t,))
+
+
+def test_finite_groups_differing_in_name_or_generators_are_equal():
+    fields = VALUE_TYPES[0][1]
+    g = FiniteGroup(**fields())
+    renamed = FiniteGroup(**{**fields(), "name": "C3"})
+    regenerated = FiniteGroup(**{**fields(), "generators": (2,)})
+    assert g == renamed == regenerated
+    assert hash(g) == hash(renamed) == hash(regenerated)
+    assert len({g, renamed, regenerated}) == 1

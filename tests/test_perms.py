@@ -37,6 +37,7 @@ from cdhg import (
     validate_hyperset,
     verify_theorem2,
 )
+from cdhg import perms
 from cdhg.perms import _inverse
 from conftest import dihypergraph_texts, refused_at_least
 
@@ -752,3 +753,30 @@ def test_theorem2_accepts_precomputed_aut(fano_group, fano_x, fano_cd):
     aut = aut_hypergraph(fano_cd)
     report = verify_theorem2(fano_group, fano_x, aut=aut)
     assert report.all_pass
+
+
+def test_theorem2_reports_g_r_not_normal_in_a_group_past_its_normalizer(monkeypatch):
+    # Aut(CD(Z4, {{0}})) is S4, where G_R has normalizer D4 of order 8; a
+    # normalizer that returned all of S4 must read as G_R not normal
+    monkeypatch.setattr(perms, "normalizer", lambda big, small: big)
+    z4 = make_cyclic(4)
+    report = verify_theorem2(z4, validate_hyperset(z4, [[0]]))
+    assert report.normalizer_order == 24
+    assert not report.g_r_normal
+    assert not report.all_pass
+
+
+def test_g_r_normal_agrees_with_the_normalizer_order(monkeypatch):
+    # with the normalizer patched to all of Aut(h), g_r_normal (tested on
+    # the chain's maps only) says whether G_R is normal in Aut(h), which
+    # holds exactly when the true normalizer is all of Aut(h)
+    true_normalizer = perms.normalizer
+    monkeypatch.setattr(perms, "normalizer", lambda big, small: big)
+    seen = set()
+    for g in census_corpus(6):
+        for x in census_hypersets(g, 3):
+            aut = aut_hypergraph(cd_construct(g, x))
+            normal = true_normalizer(aut, right_regular(g)).order == aut.order
+            assert verify_theorem2(g, x, aut=aut).g_r_normal == normal, (g.name, x.members)
+            seen.add(normal)
+    assert seen == {False, True}
