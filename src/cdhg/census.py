@@ -9,6 +9,7 @@ deterministic text; any failure is reproduced verbatim.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 from .groups import (
     CutoffExceeded,
@@ -113,39 +114,14 @@ class CheckTally:
         return text
 
 
-class CensusResult:
-    """foreign_presentations: one (instance, profiles) entry, in census
-    order, per surveyed instance that is also Cayley over a group of
-    another element-order profile, each profile written like '1-2-4-4'.
-    Instances whose automorphism group is refused are not surveyed."""
-
-    __slots__ = (
-        "max_order",
-        "max_member_size",
-        "group_count",
-        "instance_count",
-        "tallies",
-        "nontrivial_regular_round_trips",
-        "foreign_presentations",
-    )
-
-    def __init__(
-        self,
-        max_order: int,
-        max_member_size: int,
-        group_count: int,
-        instance_count: int,
-        tallies: dict[str, CheckTally],
-        nontrivial_regular_round_trips: int,
-        foreign_presentations: tuple[tuple[str, tuple[str, ...]], ...],
-    ):
-        self.max_order = max_order
-        self.max_member_size = max_member_size
-        self.group_count = group_count
-        self.instance_count = instance_count
-        self.tallies = tallies
-        self.nontrivial_regular_round_trips = nontrivial_regular_round_trips
-        self.foreign_presentations = foreign_presentations
+class CensusResult(SimpleNamespace):
+    """The bounds max_order and max_member_size; group_count and
+    instance_count; tallies, one CheckTally per name in CHECK_NAMES;
+    nontrivial_regular_round_trips; and foreign_presentations: one
+    (instance, profiles) entry, in census order, per surveyed instance
+    that is also Cayley over a group of another element-order profile,
+    each profile written like '1-2-4-4'.  Instances whose automorphism
+    group is refused are not surveyed."""
 
     @property
     def all_pass(self) -> bool:
@@ -372,9 +348,8 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
                 tallies["normalizer_factorization"].ok(
                     tag,
                     report.all_pass,
-                    f"sub-checks: product={report.product_factorization} "
-                    f"order={report.order_matches} intersection={report.trivial_intersection} "
-                    f"normal={report.g_r_normal} stabilizer={report.stabilizer_matches}",
+                    "sub-checks: "
+                    + " ".join(f"{key}={getattr(report, name)}" for name, key in report.checks),
                 )
 
                 outer_match = {a for a in auts_g if a in aut_h} == set(report.aut_g_x)

@@ -5,24 +5,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from .groups import CutoffExceeded, FiniteGroup, load_group
 from .hypersets import CayleyHyperset, aut_g_x, is_cayley_closed, load_hyperset
 from .hypergraphs import cd_construct, dump_dihypergraph, is_connected, is_undirected, uniformity
-from .perms import aut_hypergraph, verify_theorem2
+from .perms import Theorem2Report, aut_hypergraph, verify_theorem2
 from .census import run_census
 
 __all__ = ["AnalysisReport", "build_analysis_report", "main"]
 
 
-class AnalysisReport:
-    """Ordered key/value lines describing one (group, hyperset) instance."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[str, str], ...]):
-        self.entries = entries
+class AnalysisReport(SimpleNamespace):
+    """entries: the ordered (key, value) lines describing one (group,
+    hyperset) instance."""
 
     def render(self) -> str:
         return "\n".join(f"{k}: {v}" for k, v in self.entries) + "\n"
@@ -44,13 +41,6 @@ def build_analysis_report(
         ("arcs", str(len(h.arcs))),
         ("edges", str(len(h.edges))),
     ]
-    theorem2_keys = (
-        "theorem2_product_factorization",
-        "theorem2_order",
-        "theorem2_trivial_intersection",
-        "theorem2_normality",
-        "theorem2_stabilizer",
-    )
     aut_h = aut_g_x_order = report = None
     reason = "--no-aut"
     if with_aut:
@@ -70,20 +60,15 @@ def build_analysis_report(
     entries.append(("aut_h", aut_h or skipped))
     if report is None:
         entries.append(("aut_g_x", aut_g_x_order or skipped))
-        entries.extend((k, skipped) for k in ("normalizer", *theorem2_keys))
-        return AnalysisReport(entries=tuple(entries))
-    entries.append(("aut_g_x", str(report.aut_g_x_order)))
-    entries.append(("normalizer", str(report.normalizer_order)))
-    flags = (
-        report.product_factorization,
-        report.order_matches,
-        report.trivial_intersection,
-        report.g_r_normal,
-        report.stabilizer_matches,
-    )
-    entries.extend(
-        (key, "pass" if flag else "fail") for key, flag in zip(theorem2_keys, flags)
-    )
+        entries.append(("normalizer", skipped))
+        entries.extend((key, skipped) for _, key in Theorem2Report.checks)
+    else:
+        entries.append(("aut_g_x", str(report.aut_g_x_order)))
+        entries.append(("normalizer", str(report.normalizer_order)))
+        entries.extend(
+            (key, "pass" if getattr(report, name) else "fail")
+            for name, key in Theorem2Report.checks
+        )
     return AnalysisReport(entries=tuple(entries))
 
 

@@ -8,7 +8,7 @@ value in hand is always a genuine group.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -39,29 +39,52 @@ class CutoffExceeded(ValueError):
     """An exact computation was refused because the input is over desk scale."""
 
 
-def _refuse_change(self, name, value=None):
-    """__setattr__ and __delattr__ of the immutable value types."""
-    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+class _Value:
+    """The value semantics of FiniteGroup, Permutation, CayleyHyperset,
+    Dihypergraph and UndirectedHypergraph, written once.
+
+    A subclass gives its __slots__, a written-out __init__ that stores
+    each field by object.__setattr__, and _key, an operator.attrgetter
+    of the fields that take part in equality.  Instances are immutable;
+    == holds only between instances of one class with equal keys, and
+    the hash is that of the key, a tuple; repr lists every slot by
+    keyword, in slot order.  These are written out rather than made by
+    dataclasses, which would load inspect and ast and build the methods
+    by exec on every import.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-class FiniteGroup:
+class FiniteGroup(_Value):
     """A finite group given by its full multiplication table.
 
     Do not construct directly; use from_table or one of the factory
     functions so the axioms are checked.  The name is a display label
     and generators are what validation found; neither takes part in
     equality.
-
-    This and the other value types (Permutation, CayleyHyperset,
-    Dihypergraph, UndirectedHypergraph) are plain slotted classes with
-    their __init__, ==, hash and immutability written out: dataclasses
-    would load inspect and ast and generate the methods on every import.
-    Equality is over the compared fields and only between instances of
-    one class; the hash is that of their tuple.
     """
 
     __slots__ = ("name", "order", "table", "inverse", "generators")
-    __setattr__ = __delattr__ = _refuse_change
+    _key = attrgetter("order", "table", "inverse")
 
     def __init__(
         self,
@@ -79,20 +102,6 @@ class FiniteGroup:
         put(self, "table", table)
         put(self, "inverse", inverse)
         put(self, "generators", generators)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.table, self.inverse) == (other.order, other.table, other.inverse)
-
-    def __hash__(self):
-        return hash((self.order, self.table, self.inverse))
-
-    def __repr__(self):
-        return (
-            f"FiniteGroup(name={self.name!r}, order={self.order!r}, table={self.table!r}, "
-            f"inverse={self.inverse!r}, generators={self.generators!r})"
-        )
 
     @property
     def identity(self) -> int:
@@ -356,28 +365,19 @@ def element_order(g: FiniteGroup, a: int) -> int:
     return k
 
 
-class Permutation:
+class Permutation(_Value):
     """A bijection of 0..degree-1, kept as its tuple of images: a vertex
     permutation, or a group automorphism of element indices, which is a
     vertex permutation of CD(G, X) (Theorem 2).  Composition is left to
     right: a.then(b) sends v to b(a(v))."""
 
     __slots__ = ("images",)
-    __setattr__ = __delattr__ = _refuse_change
+    # a getter of one name returns the bare value, so the key, whose
+    # hash is the permutation's, is the 1-tuple built by hand
+    _key = staticmethod(lambda p: (p.images,))
 
     def __init__(self, images: tuple[int, ...]):
         object.__setattr__(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash((self.images,))
-
-    def __repr__(self):
-        return f"Permutation(images={self.images!r})"
 
     @property
     def degree(self) -> int:

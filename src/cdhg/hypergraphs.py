@@ -8,10 +8,10 @@ share one edge.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
-from .groups import CutoffExceeded, FiniteGroup, _refuse_change
+from .groups import CutoffExceeded, FiniteGroup, _Value
 from .hypersets import CayleyHyperset, cayley_equivalence_classes, right_translate
 
 __all__ = [
@@ -38,27 +38,16 @@ Arc = tuple[int, tuple[int, ...]]
 AUT_VERTEX_CUTOFF = 12
 
 
-class Dihypergraph:
-    """A vertex count and its arcs (vertex, edge).  A value type like
-    groups.FiniteGroup: immutable, equal and hashed by both fields."""
+class Dihypergraph(_Value):
+    """A vertex count and its arcs (vertex, edge), equal and hashed by
+    both fields."""
 
     __slots__ = ("vertex_count", "arcs")
-    __setattr__ = __delattr__ = _refuse_change
+    _key = attrgetter("vertex_count", "arcs")
 
     def __init__(self, vertex_count: int, arcs: frozenset[Arc]):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", arcs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertex_count, self.arcs) == (other.vertex_count, other.arcs)
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.arcs))
-
-    def __repr__(self):
-        return f"Dihypergraph(vertex_count={self.vertex_count!r}, arcs={self.arcs!r})"
 
     @property
     def edges(self) -> frozenset[tuple[int, ...]]:
@@ -68,26 +57,15 @@ class Dihypergraph:
         return sorted(self.arcs)
 
 
-class UndirectedHypergraph:
-    """A vertex count and its edges; a value type like Dihypergraph."""
+class UndirectedHypergraph(_Value):
+    """A vertex count and its edges, equal and hashed by both fields."""
 
     __slots__ = ("vertex_count", "edges")
-    __setattr__ = __delattr__ = _refuse_change
+    _key = attrgetter("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: frozenset[tuple[int, ...]]):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
-
-    def __repr__(self):
-        return f"UndirectedHypergraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
 
 def cd_construct(g: FiniteGroup, x: CayleyHyperset) -> Dihypergraph:
@@ -137,8 +115,14 @@ def underlying(h: Dihypergraph) -> UndirectedHypergraph:
 
 def is_connected(h: Dihypergraph) -> bool:
     """Connectivity of the bipartite incidence structure on vertices and
-    edges; vertices lying in no edge are isolated."""
+    edges; vertices lying in no edge are isolated.  Joining n vertices
+    takes n - 1 merges and an edge e makes at most |e| - 1, so edges
+    too small to make them give False before any list over the vertices
+    is made."""
     n = h.vertex_count
+    edges = h.edges
+    if n - 1 > sum(map(len, edges)) - len(edges):
+        return False
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -147,7 +131,7 @@ def is_connected(h: Dihypergraph) -> bool:
             i = parent[i]
         return i
 
-    for e in h.edges:
+    for e in edges:
         r = find(e[0])
         for v in e[1:]:
             rv = find(v)
@@ -291,10 +275,15 @@ def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[in
 
 
 def dump_dihypergraph(h: Dihypergraph) -> str:
-    """Render the dihypergraph dump format, arcs sorted by vertex then edge."""
-    label = [str(v) for v in range(h.vertex_count)]
+    """Render the dihypergraph dump format, arcs sorted by vertex then edge.
+    Labels are made up to the largest vertex an arc names, the last
+    arc's vertex or an edge's last, so a large vertex count alone costs
+    nothing."""
+    arcs = h.sorted_arcs()
+    top = max([e[-1] for _, e in arcs] + [arcs[-1][0]]) if arcs else -1
+    label = [str(v) for v in range(top + 1)]
     lines = [f"dihypergraph {h.vertex_count}"]
-    for v, e in h.sorted_arcs():
+    for v, e in arcs:
         lines.append(f"arc {label[v]} : " + " ".join([label[u] for u in e]))
     return "\n".join(lines) + "\n"
 

@@ -7,15 +7,10 @@ member list itself is sorted, so equal hypersets compare equal.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
-from .groups import (
-    FiniteGroup,
-    Permutation,
-    _automorphism_search,
-    _refuse_change,
-    inner_automorphisms,
-)
+from .groups import FiniteGroup, Permutation, _Value, _automorphism_search, inner_automorphisms
 
 __all__ = [
     "CayleyHyperset",
@@ -35,29 +30,16 @@ __all__ = [
 Member = tuple[int, ...]
 
 
-class CayleyHyperset:
-    """A sorted family of identity-containing subsets of a group's indices.
-
-    A value type like groups.FiniteGroup: immutable, equal and hashed by
-    both fields."""
+class CayleyHyperset(_Value):
+    """A sorted family of identity-containing subsets of a group's indices,
+    equal and hashed by both fields."""
 
     __slots__ = ("group_order", "members")
-    __setattr__ = __delattr__ = _refuse_change
+    _key = attrgetter("group_order", "members")
 
     def __init__(self, group_order: int, members: tuple[Member, ...]):
         object.__setattr__(self, "group_order", group_order)
         object.__setattr__(self, "members", members)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group_order, self.members) == (other.group_order, other.members)
-
-    def __hash__(self):
-        return hash((self.group_order, self.members))
-
-    def __repr__(self):
-        return f"CayleyHyperset(group_order={self.group_order!r}, members={self.members!r})"
 
     def __len__(self) -> int:
         return len(self.members)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .groups import (
@@ -199,6 +200,9 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     """
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
+    if n == 0:
+        # no group has order 0
+        return []
     ims = sorted(_chain_search(p.transversals, _cycle_step, 0))
     if not ims or ims[0] != tuple(range(n)):
         raise ValueError("permutation group does not contain the identity")
@@ -263,15 +267,10 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     return [PermGroup._from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]
 
 
-class CayleyRecovery:
-    """Output of the regular-subgroup reconstruction: a group and a
-    hyperset over the same vertex labels 0..n-1 as the dihypergraph."""
-
-    __slots__ = ("group", "hyperset")
-
-    def __init__(self, group: FiniteGroup, hyperset: CayleyHyperset):
-        self.group = group
-        self.hyperset = hyperset
+class CayleyRecovery(SimpleNamespace):
+    """Output of the regular-subgroup reconstruction: group, a
+    FiniteGroup, and hyperset, a CayleyHyperset over the same vertex
+    labels 0..n-1 as the dihypergraph."""
 
 
 def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
@@ -364,42 +363,20 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     return PermGroup._from_elements(n, [*kept, *t0])
 
 
-class Theorem2Report:
-    """Results of the normalizer factorization checks for one instance."""
+class Theorem2Report(SimpleNamespace):
+    """Results of the normalizer factorization checks for one instance:
+    group_order, aut_h_order, aut_g_x (the Permutations of Aut(G, X)),
+    normalizer_order, and one bool per sub-check in checks."""
 
-    __slots__ = (
-        "group_order",
-        "aut_h_order",
-        "aut_g_x",
-        "normalizer_order",
-        "product_factorization",
-        "order_matches",
-        "trivial_intersection",
-        "g_r_normal",
-        "stabilizer_matches",
+    # each sub-check of Theorem 2, in report order, as (the report's
+    # attribute, the key of its line in cdhg analyze)
+    checks = (
+        ("product_factorization", "theorem2_product_factorization"),
+        ("order_matches", "theorem2_order"),
+        ("trivial_intersection", "theorem2_trivial_intersection"),
+        ("g_r_normal", "theorem2_normality"),
+        ("stabilizer_matches", "theorem2_stabilizer"),
     )
-
-    def __init__(
-        self,
-        group_order: int,
-        aut_h_order: int,
-        aut_g_x: tuple[Permutation, ...],
-        normalizer_order: int,
-        product_factorization: bool,
-        order_matches: bool,
-        trivial_intersection: bool,
-        g_r_normal: bool,
-        stabilizer_matches: bool,
-    ):
-        self.group_order = group_order
-        self.aut_h_order = aut_h_order
-        self.aut_g_x = aut_g_x
-        self.normalizer_order = normalizer_order
-        self.product_factorization = product_factorization
-        self.order_matches = order_matches
-        self.trivial_intersection = trivial_intersection
-        self.g_r_normal = g_r_normal
-        self.stabilizer_matches = stabilizer_matches
 
     @property
     def aut_g_x_order(self) -> int:
@@ -407,13 +384,7 @@ class Theorem2Report:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.product_factorization
-            and self.order_matches
-            and self.trivial_intersection
-            and self.g_r_normal
-            and self.stabilizer_matches
-        )
+        return all(getattr(self, name) for name, _ in self.checks)
 
 
 def verify_theorem2(

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no private
 helper outlives its last caller, importing the package loads neither
-dataclasses nor inspect, and the plain value classes keep value
-semantics."""
+dataclasses nor inspect, the plain value classes keep value semantics,
+and each result record carries its fields where it is built."""
 
 import ast
 import os
@@ -11,7 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from cdhg import CayleyHyperset, Dihypergraph, FiniteGroup, Permutation, UndirectedHypergraph
+from cdhg import (
+    CayleyHyperset,
+    Dihypergraph,
+    FiniteGroup,
+    Permutation,
+    UndirectedHypergraph,
+    build_analysis_report,
+    cd_construct,
+    make_cyclic,
+    regular_to_cayley,
+    right_regular,
+    run_census,
+    single_cayley_closure,
+    verify_theorem2,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "cdhg").glob("*.py"))
@@ -176,3 +190,39 @@ def test_finite_groups_differing_in_name_or_generators_are_equal():
     assert g == renamed == regenerated
     assert hash(g) == hash(renamed) == hash(regenerated)
     assert len({g, renamed, regenerated}) == 1
+
+
+@pytest.mark.parametrize("cls, fields, compared", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_repr_every_field_by_keyword_in_slot_order(cls, fields, compared):
+    values = fields()
+    assert tuple(values) == cls.__slots__
+    shown = ", ".join(f"{name}={value!r}" for name, value in values.items())
+    assert repr(cls(**values)) == f"{cls.__name__}({shown})"
+
+
+def test_permutation_repr():
+    assert repr(Permutation((1, 2, 0))) == "Permutation(images=(1, 2, 0))"
+
+
+def test_records_carry_their_fields_where_they_are_built():
+    z7 = make_cyclic(7)
+    fano = single_cayley_closure(z7, {0, 1, 3})
+    h = cd_construct(z7, fano)
+    built = [
+        (
+            verify_theorem2(z7, fano),
+            "group_order aut_h_order aut_g_x normalizer_order product_factorization "
+            "order_matches trivial_intersection g_r_normal stabilizer_matches",
+        ),
+        (
+            run_census(3, 1),
+            "max_order max_member_size group_count instance_count tallies "
+            "nontrivial_regular_round_trips foreign_presentations",
+        ),
+        (regular_to_cayley(h, right_regular(z7)), "group hyperset"),
+        (build_analysis_report(z7, fano), "entries"),
+    ]
+    # a record takes any keyword, so a misspelt field shows only here
+    for record, fields in built:
+        assert [name for name in fields.split() if not hasattr(record, name)] == []
+    assert [len(fields.split()) for _, fields in built] == [9, 7, 2, 1]

@@ -1,6 +1,7 @@
 """Dihypergraph construction, structure predicates, isomorphism, dumps."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +236,30 @@ def test_load_rejects_bad_input():
     with pytest.raises(ValueError) as err:
         load_dihypergraph("dihypergraph 3 junk\n")
     assert str(err.value) == "bad vertex count in 'dihypergraph 3 junk'"
+
+
+def test_is_connected_counts_joins_before_the_union_find():
+    assert not is_connected(load_dihypergraph("dihypergraph 0\n"))
+    assert is_connected(load_dihypergraph("dihypergraph 1\n"))
+    assert is_connected(load_dihypergraph("dihypergraph 3\narc 0 : 0 1 2\n"))
+    # enough room for the three merges four vertices need, yet 3 lies in no edge
+    assert not is_connected(load_dihypergraph("dihypergraph 4\narc 0 : 0 1 2\narc 1 : 0 1\n"))
+
+
+@pytest.mark.parametrize(
+    "f, expected",
+    [(is_connected, False), (dump_dihypergraph, "dihypergraph 2000000\narc 0 : 0 1\n")],
+    ids=["is_connected", "dump_dihypergraph"],
+)
+def test_a_large_vertex_count_alone_costs_no_memory(f, expected):
+    h = load_dihypergraph("dihypergraph 2000000\narc 0 : 0 1\n")
+    tracemalloc.start()
+    try:
+        assert f(h) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ regular subgroups, recovery, normalizers, and the factorization report."""
 import math
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from sympy.combinatorics import (
     PermutationGroup as SympyPermutationGroup,
 )
 
+import cdhg.census
+import cdhg.cli
 import oracles
 from cdhg import (
     CutoffExceeded,
@@ -33,6 +36,7 @@ from cdhg import (
     normalizer,
     regular_to_cayley,
     right_regular,
+    run_census,
     single_cayley_closure,
     validate_hyperset,
     verify_theorem2,
@@ -42,6 +46,7 @@ from cdhg.perms import _inverse
 from conftest import dihypergraph_texts, refused_at_least
 
 CORPUS8 = census_corpus(8)
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def closure(n, *gens):
@@ -717,6 +722,11 @@ def test_permgroup_holds_no_permutation_of_another_degree():
     assert Permutation((1, 2, 3, 4, 0)) not in z4
 
 
+def test_find_regular_subgroups_on_no_vertices():
+    # no group has order 0
+    assert find_regular_subgroups(aut_hypergraph(load_dihypergraph("dihypergraph 0\n")), 0) == []
+
+
 def test_find_regular_subgroups_refuses_the_wrong_degree():
     with pytest.raises(ValueError, match="group acts on degree 4, expected 5"):
         find_regular_subgroups(symmetric(4), 5)
@@ -764,6 +774,46 @@ def test_theorem2_reports_g_r_not_normal_in_a_group_past_its_normalizer(monkeypa
     assert report.normalizer_order == 24
     assert not report.g_r_normal
     assert not report.all_pass
+
+
+# Theorem 2's sub-checks, as (report attribute, cdhg analyze key)
+THEOREM2_CHECKS = [
+    ("product_factorization", "theorem2_product_factorization"),
+    ("order_matches", "theorem2_order"),
+    ("trivial_intersection", "theorem2_trivial_intersection"),
+    ("g_r_normal", "theorem2_normality"),
+    ("stabilizer_matches", "theorem2_stabilizer"),
+]
+
+
+@pytest.mark.parametrize("attribute, key", THEOREM2_CHECKS, ids=[a for a, _ in THEOREM2_CHECKS])
+def test_each_theorem2_check_reaches_all_pass_analyze_and_the_census(
+    monkeypatch, capsys, attribute, key
+):
+    real = perms.verify_theorem2
+
+    def only_this_fails(*args, **kwargs):
+        report = real(*args, **kwargs)
+        assert report.all_pass
+        setattr(report, attribute, False)
+        return report
+
+    z7 = make_cyclic(7)
+    assert not only_this_fails(z7, single_cayley_closure(z7, {0, 1, 3})).all_pass
+
+    monkeypatch.setattr(cdhg.cli, "verify_theorem2", only_this_fails)
+    argv = ["analyze", "--group", str(DATA / "z7.group"), "--hyperset", str(DATA / "fano.hyperset")]
+    assert cdhg.cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("theorem2_")] == [
+        f"{k}: {'fail' if k == key else 'pass'}" for _, k in THEOREM2_CHECKS
+    ]
+
+    monkeypatch.setattr(cdhg.census, "verify_theorem2", only_this_fails)
+    tally = run_census(3, 1).tallies["normalizer_factorization"]
+    assert tally.failed == len(tally.failures) > 0 and tally.passed == 0
+    for failure in tally.failures:
+        assert failure.count("=False") == 1 and f"{key}=False" in failure
 
 
 def test_g_r_normal_agrees_with_the_normalizer_order(monkeypatch):
