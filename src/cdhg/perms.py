@@ -181,21 +181,25 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     """All order-n subgroups of p acting regularly on 0..n-1.
 
     A regular subgroup holds exactly one permutation sending 0 to w for
-    each w, so the search fills those n slots.  Every product of two
-    filled slots lands in a slot read off from the images, which both
-    propagates forced choices and prunes inconsistent ones.
+    each w, so the search fills those n slots, the smallest empty one
+    next; the filled slots hold a group H generated by the candidates
+    chosen on the path.  When slot w takes candidate c, H is closed by
+    left multiplication, old members by c only and new ones by every
+    generator.  The old members times the old generators lie in H, so
+    this closure is <H, c>, and it fails (on a product that is not
+    semiregular or lands in a slot holding another member) exactly when
+    <H, c> is not regular.  Each subgroup is reached by one path, as
+    each step gives the smallest empty slot its member: no repeats.
 
     Only the identity and the semiregular members can sit in a slot, so
     those are indexed once, in image order, and slots hold indices.
     They are found by groups._chain_search with _cycle_step, which cuts
     a partial product as soon as its cycles cannot share one length,
-    and perms is not listed on the group.  A product is composed by a
-    per-member itemgetter and looked up in the index; a product outside
-    the index is a conflict.  Each subgroup found is read off its
-    members by PermGroup._from_elements: every member but the identity
-    moves 0, so its chain is T_0 alone, and its generators are T_0 past
-    the identity.  Products are not memoised: in S8 a table of them
-    answered 31% of lookups and doubled the search's peak memory
+    and perms is not listed on the group.  Each subgroup found is read
+    off its members by PermGroup._from_elements: every member but the
+    identity moves 0, so its chain is T_0 alone, and its generators are
+    T_0 past the identity.  Products are not memoised: in S8 a table of
+    them answered 31% of lookups and doubled the search's peak memory
     without making it faster.
     """
     if p.degree != n:
@@ -207,61 +211,47 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     if not ims or ims[0] != tuple(range(n)):
         raise ValueError("permutation group does not contain the identity")
     index = {im: i for i, im in enumerate(ims)}
-    # compose[i](o) is the image tuple of member i then o (for n = 1,
-    # where nothing is ever composed, it would be a bare int)
-    compose = [itemgetter(*im) for im in ims]
     candidates: list[list[int]] = [[] for _ in range(n)]
     for i in range(1, len(ims)):
         candidates[ims[i][0]].append(i)
 
     results: list[tuple[int, ...]] = []
-    slots = [-1] * n
-    slots[0] = 0
+    slots = [0] + [-1] * (n - 1)
+    members = [0]  # H's members, in the order their slots were filled
 
-    def propagate(newly: int) -> Optional[list[int]]:
-        """Close filled slots under products; return the slots this call
-        filled (for undo), or None on a conflict."""
-        added: list[int] = []
-        queue = [newly]
-        while queue:
-            a = queue.pop()
-            pa = slots[a]
-            # slot 0 holds the identity, whose products are always consistent
-            for b in range(1, n):
-                pb = slots[b]
-                if pb < 0:
-                    continue
-                for left, right in ((pa, pb), (pb, pa)) if a != b else ((pa, pa),):
-                    o = ims[right]
-                    k = o[ims[left][0]]
-                    prod = index.get(compose[left](o), -1)
-                    cur = slots[k]
-                    if prod < 0 or (cur >= 0 and cur != prod):
-                        for u in added:
-                            slots[u] = -1
-                        return None
-                    if cur < 0:
-                        slots[k] = prod
-                        added.append(k)
-                        queue.append(k)
-        return added
+    def closes(size: int, gens: list[itemgetter]) -> bool:
+        """Close members under left multiplication by gens (gens[j](o) is
+        the j-th generator then o), where members[:size] is closed under
+        all but the last, c = members[size]; False on a conflict."""
+        i = 1  # the identity times c is c
+        while i < len(members):
+            for g in gens if i >= size else gens[-1:]:
+                im = g(ims[members[i]])
+                prod, cur = index.get(im), slots[im[0]]
+                if prod is None or cur not in (-1, prod):
+                    return False
+                if cur < 0:
+                    slots[im[0]] = prod
+                    members.append(prod)
+            i += 1
+        return True
 
-    def descend() -> None:
+    def descend(gens: list[itemgetter]) -> None:
         w = next((i for i in range(n) if slots[i] < 0), None)
         if w is None:
-            results.append(tuple(sorted(slots)))
+            results.append(tuple(sorted(members)))
             return
+        size = len(members)
         for cand in candidates[w]:
             slots[w] = cand
-            added = propagate(w)
-            if added is not None:
-                descend()
-                for u in added:
-                    slots[u] = -1
-            slots[w] = -1
+            members.append(cand)
+            grown = [*gens, itemgetter(*ims[cand])]  # n >= 2: a tuple getter
+            if closes(size, grown):
+                descend(grown)
+            while len(members) > size:
+                slots[ims[members.pop()][0]] = -1
 
-    descend()
-    # each subgroup fills the slots one way, so results has no repeats;
+    descend([])
     # indices follow image order, so sorted index tuples sort the
     # subgroups as their sorted image lists would
     return [PermGroup._from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]

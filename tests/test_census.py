@@ -1,5 +1,7 @@
 """Census corpus, instance generation, and the sweep itself at small bounds."""
 
+import hashlib
+
 import pytest
 
 import oracles
@@ -209,6 +211,22 @@ def test_full_census_foreign_presentations(full_census):
         "1-2-2-2-4-4-4-4",
         "1-2-4-4-4-4-4-4",
     )
+
+
+def census_hash(census):
+    """The first 16 hex digits of the sha256 of the rendered census and
+    its foreign presentations, the digest that says a run moved nothing."""
+    text = census.render() + repr(census.foreign_presentations)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_full_census_hash(full_census):
+    census, _ = full_census
+    assert census_hash(census) == "13104b6edc126a3b"
+
+
+def test_census_hash_at_order_ten():
+    assert census_hash(run_census(max_order=10, max_member_size=3)) == "3ee3695061425a99"
 
 
 def test_run_census_refuses_aut_over_order_cap():

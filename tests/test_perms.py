@@ -580,6 +580,49 @@ def test_find_regular_subgroups_full_hyperset():
     assert len(kleins) == 1
 
 
+def test_find_regular_subgroups_matches_the_oracle_exactly():
+    # every distinct census arc set of order <= 6 with |Aut| <= 48: the
+    # sorted image lists come out in the oracle's sorted order, so the
+    # search repeats no subgroup and sorts them as the oracle does
+    seen = {}
+    for g in census_corpus(6):
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            seen.setdefault(h.arcs, (h, g.order))
+    checked = found = 0
+    for h, n in seen.values():
+        aut = aut_hypergraph(h)
+        if aut.order > 48:
+            continue
+        regs = [sorted(p.images for p in r.perms) for r in find_regular_subgroups(aut, n)]
+        oracle = oracles.brute_regular_subgroups([p.images for p in aut.perms], n)
+        assert regs == sorted(map(sorted, oracle))
+        checked, found = checked + 1, found + len(regs)
+    assert (checked, found) == (29, 80)
+
+
+def test_regular_search_on_the_z8_loops_makes_few_products(monkeypatch):
+    # the closure multiplies by the generators chosen on the path, not
+    # by every filled slot, so S8 takes well under the 484,990 products
+    # an all-pairs closure makes
+    calls = [0]
+    real = perms.itemgetter
+
+    def counting(*items):
+        get = real(*items)
+
+        def counted(o):
+            calls[0] += 1
+            return get(o)
+
+        return counted
+
+    _, aut = z8_loops_aut()
+    monkeypatch.setattr(perms, "itemgetter", counting)
+    assert len(find_regular_subgroups(aut, 8)) == 2760
+    assert calls[0] < 400_000
+
+
 @pytest.mark.parametrize("n, expected", [(5, 6), (6, 80), (7, 120), (8, 2760)])
 def test_find_regular_subgroups_in_symmetric_group(n, expected):
     # sum over the groups G of order n of (n-1)!/|Aut(G)|: Z5 (|Aut| 4),
