@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from cdhg import (
+    AUT_VERTEX_CUTOFF,
     PermGroup,
     Permutation,
     cd_construct,
@@ -16,7 +17,7 @@ from cdhg import (
     run_census,
     validate_hyperset,
 )
-from cdhg.census import CheckTally
+from cdhg.census import CENSUS_MAX_ORDER_CAP, CheckTally
 from conftest import FANO_MEMBERS
 
 
@@ -152,6 +153,58 @@ def test_run_census_tallies_a_failed_recovery(monkeypatch):
     assert result.render().endswith("result: FAIL\n")
 
 
+REFUSED_RECOVERY_TAGS = (
+    "Z1 X=[(0,)]", "Z2 X=[(0,)]", "Z2 X=[(0, 1)]", "Z3 X=[(0,)]",
+    "Z3 X=[(0, 1), (0, 2)]", "Z4 X=[(0,)]", "Z4 X=[(0, 1), (0, 3)]", "Z4 X=[(0, 2)]",
+    "D1 X=[(0,)]", "D1 X=[(0, 1)]", "D2 X=[(0,)]", "D2 X=[(0, 1)]", "D2 X=[(0, 2)]",
+    "D2 X=[(0, 3)]", "Z2xZ2 X=[(0,)]", "Z2xZ2 X=[(0, 1)]", "Z2xZ2 X=[(0, 2)]",
+    "Z2xZ2 X=[(0, 3)]",
+)
+# the instances of order 4 have a regular subgroup besides their translations
+REFUSED_RECOVERY_RENDER = (
+    "census: max_order=4 max_member_size=2\n"
+    "groups: 7\n"
+    "instances: 18\n"
+    "check arc_count: 18 pass, 0 fail\n"
+    "check closure_idempotent: 18 pass, 0 fail\n"
+    "check connected_iff_generating: 18 pass, 0 fail\n"
+    "check undirected_iff_closed: 18 pass, 0 fail\n"
+    "check subgroup_members: 16 pass, 0 fail\n"
+    "check underlying_equals_translate_family: 18 pass, 0 fail\n"
+    "check representative_choice_invariance: 2 pass, 0 fail\n"
+    "check right_regular_in_aut: 18 pass, 0 fail\n"
+    "check aut_preserves_arcs: 18 pass, 0 fail\n"
+    "check cayley_round_trip: 0 pass, 18 fail\n"
+    "check regular_subgroups: 7 pass, 11 fail\n"
+    "check normalizer_factorization: 18 pass, 0 fail\n"
+    "check aut_intersection: 18 pass, 0 fail\n"
+    "nontrivial_regular_round_trips: 0\n"
+    + "".join(f"FAIL cayley_round_trip: {tag}: refused\n" for tag in REFUSED_RECOVERY_TAGS)
+    + "".join(
+        f"FAIL regular_subgroups: {tag}: "
+        "right translations missing or a recovered instance disagrees\n"
+        for tag in REFUSED_RECOVERY_TAGS
+        if tag.startswith(("Z4", "D2", "Z2xZ2"))
+    )
+    + "result: FAIL\n"
+)
+
+
+def test_run_census_renders_failures_by_check_then_instance(monkeypatch, capsys):
+    # the FAIL block lists the checks in CHECK_NAMES order, each one's
+    # instances in census order, and the command line exits 1 on it
+    import cdhg.census
+    from cdhg.cli import main
+
+    def refuse(h, r):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cdhg.census, "regular_to_cayley", refuse)
+    assert run_census(max_order=4, max_member_size=2).render() == REFUSED_RECOVERY_RENDER
+    assert main(["census", "--max-order", "4", "--max-member-size", "2"]) == 1
+    assert capsys.readouterr().out == REFUSED_RECOVERY_RENDER
+
+
 def test_run_census_tallies_a_generator_that_breaks_an_arc(monkeypatch):
     # aut_preserves_arcs reads the generators of Aut(h)'s chain alone; a
     # swap of 0 and 1 slipped in among them fails every instance whose
@@ -249,18 +302,26 @@ def test_run_census_refuses_aut_over_order_cap():
     assert result.render().endswith("result: PASS\n")
 
 
+def test_census_order_cap_stays_under_the_vertex_cutoff():
+    # every census instance has at most CENSUS_MAX_ORDER_CAP vertices, so
+    # aut_hypergraph never refuses one by the vertex cutoff, and the
+    # census's one skip label for a refused Aut, "aut order over cap",
+    # is true; a change that replaces the cutoff must revisit this
+    assert CENSUS_MAX_ORDER_CAP <= AUT_VERTEX_CUTOFF
+
+
 def test_check_tally_renders_each_skip_reason_once():
     tally = CheckTally("regular_subgroups")
     for reason in ("aut over cutoff", "aut order over regular-search cap", "aut over cutoff"):
-        tally.skip(reason)
+        tally.add("Z9 X=[(0,)]", None, reason)
     assert tally.skipped == 3
     assert tally.line() == (
         "check regular_subgroups: 0 pass, 0 fail, 3 skipped: "
         "aut over cutoff; aut order over regular-search cap"
     )
     single = CheckTally("aut_intersection")
-    single.skip("aut over cutoff")
-    single.skip("aut over cutoff")
+    single.add("Z9 X=[(0,)]", None, "aut over cutoff")
+    single.add("Z9 X=[(0,)]", None, "aut over cutoff")
     assert single.line() == "check aut_intersection: 0 pass, 0 fail, 2 skipped: aut over cutoff"
     assert CheckTally("arc_count", passed=4).line() == "check arc_count: 4 pass, 0 fail"
 
