@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -86,6 +85,10 @@ def _load_pair(group_path: str, hyperset_path: str) -> tuple[FiniteGroup, Cayley
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # loaded here, not with the module: the library's callers of
+    # build_analysis_report need no argparse and gettext
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cdhg",
         description="Build and analyze Cayley dihypergraphs over small finite groups.",

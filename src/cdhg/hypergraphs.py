@@ -208,60 +208,84 @@ def _completion_search(
     equal v's, and a prefix image without both ends the search at once.
     At step k, w is kept only if its codes against the images of
     0..k-1 equal those of k against 0..k-1; then each arc of a whose last
-    vertex is k is verified.  The codes are computed once, so repeated
-    prefixes share them.
+    vertex is k is verified, but for those the codes already decide.  An
+    edge of size 1 holding u is (u,), so an arc (v, (u,)) is one digit
+    of code[v][u]: for u = v the candidate test matches it, and else the
+    step of the later of v and u, in code[k][m] with m the earlier.
+    When every arc of a and of b holds its own vertex, an edge of size 2
+    holding v and u is {v, u}, so an arc (v, {v, u}) is one digit of
+    code[k][m] in the same way.  Where arcs miss their vertex, it may be
+    any {u, x}, so those arcs are verified.
+
+    The codes are computed once, so repeated prefixes share them.  When b
+    is a, the identity on 0..k-1 passes every test, so for a prefix
+    (0, ..., k-1, w) only w is tested, then the search goes on from k+1.
     """
     n = a.vertex_count
-    if n != b.vertex_count or len(a.arcs) != len(b.arcs):
-        return lambda prefix: None
-    if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
+    if b is not a and (
+        n != b.vertex_count
+        or len(a.arcs) != len(b.arcs)
+        or sorted(map(len, a.edges)) != sorted(map(len, b.edges))
+    ):
         return lambda prefix: None
     if n > AUT_VERTEX_CUTOFF:
         raise CutoffExceeded(f"over cutoff ({n} > {AUT_VERTEX_CUTOFF})")
     code_a = _pair_codes(a)
     code_b = code_a if b is a else _pair_codes(b)
-    key_a, key_b = ([(row[v], sorted(row)) for v, row in enumerate(c)] for c in (code_a, code_b))
-    if sorted(key_a) != sorted(key_b):
+    key_a, key_b = ([(row[v], tuple(sorted(row))) for v, row in enumerate(c)] for c in (code_a, code_b))
+    if b is not a and sorted(key_a) != sorted(key_b):
         return lambda prefix: None
-    candidates = [tuple(w for w in range(n) if key_b[w] == key_a[v]) for v in range(n)]
+    images: dict = {}
+    for w, key in enumerate(key_b):
+        images.setdefault(key, []).append(w)
+    candidates = [images[key] for key in key_a]
     # the codes of k against 0..k-1, which the image of k must match
     heads = [row[:k] for k, row in enumerate(code_a)]
     arcs_b = {(v, frozenset(e)) for v, e in b.arcs}
-    # arcs of a scheduled at the step where their last vertex gets mapped
-    pending: list[list[Arc]] = [[] for _ in range(n)]
+    implied = 2 if all(v in e for arcs in {a.arcs, b.arcs} for v, e in arcs) else 1
+    # the other arcs of a, scheduled at the step where their last vertex
+    # gets mapped, with the getter of their edge's images (a tuple)
+    pending: list[list] = [[] for _ in range(n)]
     for v, e in sorted(a.arcs):
-        pending[max(v, e[-1])].append((v, e))
+        if len(e) > implied:
+            pending[max(v, e[-1])].append((v, itemgetter(*e)))
+    identity = tuple(range(n))
+
+    def fits(k: int, w: int, mapping: list[int]) -> bool:
+        """w passes as the image of k, the images of 0..k-1 in mapping."""
+        row = code_b[w]
+        if [row[m] for m in mapping[:k]] != heads[k]:
+            return False
+        mapping[k] = w
+        for v, get in pending[k]:
+            if (mapping[v], frozenset(get(mapping))) not in arcs_b:
+                return False
+        return True
 
     def first(prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        choices = [
-            (w,) if w in candidates[k] else () for k, w in enumerate(prefix)
-        ] + candidates[len(prefix):]
-        mapping = [-1] * n
+        k = len(prefix)
+        start = k - 1 if b is a and k and prefix[:-1] == identity[: k - 1] else 0
+        mapping = [*prefix, *[-1] * (n - k)]
+        for j in range(start, k):
+            w = prefix[j]
+            if w in prefix[:j] or w not in candidates[j] or not fits(j, w, mapping):
+                return None
         used = [False] * n
+        for w in prefix:
+            used[w] = True
 
         def descend(k: int) -> bool:
             if k == n:
                 return True
-            done = mapping[:k]
-            for w in choices[k]:
-                if used[w]:
-                    continue
-                row = code_b[w]
-                if [row[m] for m in done] != heads[k]:
-                    continue
-                mapping[k] = w
-                used[w] = True
-                ok = all(
-                    (mapping[v], frozenset(mapping[u] for u in e)) in arcs_b
-                    for v, e in pending[k]
-                )
-                if ok and descend(k + 1):
-                    return True
-                mapping[k] = -1
-                used[w] = False
+            for w in candidates[k]:
+                if not used[w] and fits(k, w, mapping):
+                    used[w] = True
+                    if descend(k + 1):
+                        return True
+                    used[w] = False
             return False
 
-        return tuple(mapping) if descend(0) else None
+        return tuple(mapping) if descend(k) else None
 
     return first
 

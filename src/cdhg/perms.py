@@ -347,7 +347,10 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
             checks[max(v, w, sv)].append((v, w, sv))
 
     def step(k, x, state):
-        return state if all(x[sv] == t0[x[w]][x[v]] for v, w, sv in checks[k]) else None
+        for v, w, sv in checks[k]:
+            if x[sv] != t0[x[w]][x[v]]:
+                return None
+        return state
 
     kept = _chain_search(((t0[0],), *big.transversals[1:]), step, True)
     return PermGroup._from_elements(n, [*kept, *t0])

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no private
-helper outlives its last caller, importing the package loads neither
-dataclasses nor inspect, the plain value classes keep value semantics,
-and each result record carries its fields where it is built."""
+helper outlives its last caller, importing the package loads none of
+dataclasses, inspect and argparse, the plain value classes keep value
+semantics, and each result record carries its fields where it is built."""
 
 import ast
 import os
@@ -116,7 +116,8 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "cdhg.cli" in added
-    assert [m for m in ("dataclasses", "inspect") if m in added] == []
+    # argparse loads only when the command line runs
+    assert [m for m in ("dataclasses", "inspect", "argparse") if m in added] == []
 
 
 # (class, keyword fields built afresh on each call, the fields == and hash read)

@@ -404,3 +404,54 @@ def test_pair_codes_follow_a_relabelling(drawn, data):
     before = _pair_codes(h)
     after = _pair_codes(relabel(h, p))
     assert all(after[p[u]][p[v]] == before[u][v] for u in range(n) for v in range(n))
+
+
+def loaded_pair(rng):
+    """(n, a, b): arcs on 2..5 vertices with edges of size 1 to 3, most
+    of size 2 and some arc missing its vertex, and a seeded relabelling
+    of them, half the time with one arc's edge swapped for another of
+    its size."""
+    n = rng.randint(2, 5)
+    arcs = set()
+    for _ in range(rng.randint(1, 8)):
+        v = rng.randrange(n)
+        arcs.add((v, tuple(sorted(rng.sample(range(n), min(n, rng.choice((1, 2, 2, 2, 3))))))))
+    if all(v in e for v, e in arcs):
+        v = rng.randrange(n)
+        arcs.add((v, tuple(sorted(rng.sample([u for u in range(n) if u != v], 1)))))
+    a = Dihypergraph(vertex_count=n, arcs=frozenset(arcs))
+    p = list(range(n))
+    rng.shuffle(p)
+    b = set(relabel(a, p).arcs)
+    if rng.random() < 0.5:
+        v, e = rng.choice(sorted(b))
+        b.remove((v, e))
+        b.add((v, tuple(sorted(rng.sample(range(n), len(e))))))
+    return n, a, Dihypergraph(vertex_count=n, arcs=frozenset(b))
+
+
+def test_isomorphic_agrees_with_vf2_on_seeded_loaded_pairs():
+    # arcs that miss their vertex make a size-2 arc more than one digit
+    # of a pair code, so the search must still check it
+    rng = random.Random(22)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        n, a, b = loaded_pair(rng)
+        q = hypergraph_isomorphic(a, b)
+        assert (q is not None) == oracles.vf2_isomorphic(n, a.arcs, b.arcs)
+        if q is not None:
+            assert relabel(a, q) == b
+        outcomes[q is not None] += 1
+    assert min(outcomes.values()) > 500
+
+
+def test_isomorphic_checks_size_2_arcs_that_miss_their_vertex():
+    # found by search: every arc has size 2 and (0, {2, 3}) misses its
+    # vertex, so the pair codes do not decide the arcs.  They agree under
+    # (0, 2, 3, 1), which carries (0, {0, 1}) off b's arcs, and a and b
+    # are not isomorphic: a search that took the codes for the size-2
+    # arc checks would answer (0, 2, 3, 1)
+    a = Dihypergraph(4, frozenset([(0, (0, 1)), (0, (2, 3)), (1, (0, 3)), (1, (1, 2)), (2, (2, 3))]))
+    b = Dihypergraph(4, frozenset([(0, (0, 1)), (0, (2, 3)), (2, (0, 2)), (2, (1, 3)), (3, (1, 3))]))
+    assert not oracles.vf2_isomorphic(4, a.arcs, b.arcs)
+    assert hypergraph_isomorphic(a, b) is None

@@ -1,6 +1,7 @@
 """Vertex permutations: regular representations, automorphism search,
 regular subgroups, recovery, normalizers, and the factorization report."""
 
+import hashlib
 import math
 from functools import lru_cache
 from itertools import permutations
@@ -298,6 +299,81 @@ def test_aut_of_loops_searches_once_per_level(monkeypatch, n):
     aut = aut_hypergraph(cd_construct(zn, validate_hyperset(zn, [[0]])))
     assert len(prefixes) == n - 1
     assert aut.order == math.factorial(n)
+
+
+def test_chains_of_census_order_10_stay_pinned():
+    # the digests of every chain the census to order 10 builds: Aut(h)'s
+    # transversals and generators per distinct arc set under the order
+    # cap, and the normalizer of G_R in it per instance.  They pin the
+    # search's order, so a faster search must list the same maps
+    auts, norms = hashlib.sha256(), hashlib.sha256()
+    by_arcs = {}
+    for g in census_corpus(10):
+        g_r = right_regular(g)
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            if h.arcs not in by_arcs:
+                try:
+                    aut = aut_hypergraph(h)
+                except CutoffExceeded:
+                    aut = None
+                else:
+                    auts.update(repr((aut.transversals, [p.images for p in aut.generators])).encode())
+                by_arcs[h.arcs] = aut
+            if by_arcs[h.arcs] is not None:
+                norms.update(repr(normalizer(by_arcs[h.arcs], g_r).transversals).encode())
+    assert (len(by_arcs), sum(a is not None for a in by_arcs.values())) == (152, 150)
+    assert auts.hexdigest()[:16] == "1acdd0aade0d0074"
+    assert norms.hexdigest()[:16] == "238fc200a6ee64f2"
+
+
+@pytest.mark.parametrize(
+    "name, members",
+    [("Z5", [[0, 1]]), ("Z6", [[0, 1, 3]]), ("D4", [[0, 4], [0, 1]]), ("Z2xZ4", [[0, 1, 2]])],
+)
+def test_completion_search_of_a_copy_answers_as_of_itself(name, members):
+    # the search of h against itself may take the identity on a prefix as
+    # tested; against an equal copy it tests every level, and both must
+    # give the same first completion of every chain prefix (0..k-1, w)
+    from cdhg.hypergraphs import _completion_search
+
+    g = next(g for g in CORPUS8 if g.name == name)
+    h = cd_construct(g, validate_hyperset(g, members))
+    copy = Dihypergraph(vertex_count=h.vertex_count, arcs=frozenset(set(h.arcs)))
+    assert copy == h and copy is not h
+    itself, other = _completion_search(h, h), _completion_search(h, copy)
+    n = h.vertex_count
+    answers = [itself((*range(k), w)) for k in range(n) for w in range(n)]
+    assert answers == [other((*range(k), w)) for k in range(n) for w in range(n)]
+    assert any(answers) and None in answers
+
+
+def test_completion_search_of_itself_tests_a_moved_prefix():
+    # Aut(CD(Z5, {{0, 1}})) is the five rotations, none of which swaps 0
+    # and 1: a prefix that is not the identity is tested, not taken
+    from cdhg.hypergraphs import _completion_search
+
+    z5 = make_cyclic(5)
+    h = cd_construct(z5, validate_hyperset(z5, [[0, 1]]))
+    search = _completion_search(h, h)
+    assert search((1, 0)) is None
+    assert search((1,)) == (1, 2, 3, 4, 0)
+    assert search((0, 2)) is None
+    # 0 has an arc and 1 none, so the prefix fails at 0; a search that
+    # took (1, 0) as placed would test 2 alone, which has no arc and no
+    # code against 0 or 1 to tell it, and would answer (1, 0, 2)
+    h = Dihypergraph(vertex_count=3, arcs=frozenset({(0, (0, 1))}))
+    search = _completion_search(h, h)
+    assert search((1, 0, 2)) is None
+    assert search((0, 1, 2)) == (0, 1, 2)
+
+
+def test_aut_checks_size_2_arcs_that_miss_their_vertex():
+    # found by search: (0, {2, 3}) misses its vertex, so the pair codes do
+    # not decide the size-2 arcs.  They agree under (1, 0, 3, 2), which
+    # carries (0, {0, 1}) to (1, {0, 1}), no arc
+    h = Dihypergraph(4, frozenset([(0, (0, 1)), (0, (2, 3)), (1, (0, 2)), (1, (1, 3))]))
+    assert aut_hypergraph(h).order == 1
 
 
 def test_aut_generators_give_the_chain_order_by_sympy():
