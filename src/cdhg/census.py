@@ -42,6 +42,7 @@ from .hypergraphs import (
 )
 from .perms import (
     Permutation,
+    _conjugacy_classes,
     aut_hypergraph,
     find_regular_subgroups,
     regular_to_cayley,
@@ -192,7 +193,7 @@ def _heavy_layers(h: Dihypergraph):
     The generators are the maps the search for Aut(h)'s stabiliser chain
     found, whose products are all of Aut(h), and a product of
     arc-preserving maps preserves the arcs: so when no generator breaks
-    an arc, no element does."""
+    an arc, no element does, and one recovery serves each class (perms._conjugacy_classes)."""
     try:
         aut_h = aut_hypergraph(h)
     except CutoffExceeded:
@@ -201,14 +202,20 @@ def _heavy_layers(h: Dihypergraph):
     bad = next(
         (p for p in aut_h.generators if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
-    regs = []
-    for r in find_regular_subgroups(aut_h, h.vertex_count):
+    found = find_regular_subgroups(aut_h, h.vertex_count)
+    t0s = [r.transversals[0] for r in found]
+    if bad is None:
+        classes = _conjugacy_classes(t0s, aut_h.generators)
+    else:
+        classes = [[j] for j in range(len(t0s))]
+    profiles = {}
+    for cls in classes:
         try:
-            profile = _order_profile(regular_to_cayley(h, r).group)
+            profile = _order_profile(regular_to_cayley(h, found[cls[0]]).group)
         except ValueError:
             profile = None
-        regs.append((r.transversals[0], profile))
-    return aut_h, bad, regs
+        profiles.update(dict.fromkeys(cls, profile))
+    return aut_h, bad, [(t0, profiles[j]) for j, t0 in enumerate(t0s)]
 
 
 def _rows(g, x, h, g_r, auts_g, inns_g, heavy):

@@ -9,10 +9,10 @@ share one edge.
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .groups import CutoffExceeded, FiniteGroup, _Value
-from .hypersets import CayleyHyperset, cayley_equivalence_classes, right_translate
+from .hypersets import CayleyHyperset, cayley_equivalence_classes
 
 __all__ = [
     "AUT_VERTEX_CUTOFF",
@@ -68,6 +68,12 @@ class UndirectedHypergraph(_Value):
         object.__setattr__(self, "edges", edges)
 
 
+def _translates(g: FiniteGroup, member: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The translates member*h = {s*h : s in member}, sorted, in order
+    of h: read down the member's rows of the table together."""
+    return map(tuple, map(sorted, zip(*map(g.table.__getitem__, member))))
+
+
 def cd_construct(g: FiniteGroup, x: CayleyHyperset) -> Dihypergraph:
     """Arcs (h, m*h) for every element h and member m.
 
@@ -76,16 +82,9 @@ def cd_construct(g: FiniteGroup, x: CayleyHyperset) -> Dihypergraph:
     """
     if x.group_order != g.order:
         raise ValueError(f"hyperset is over order {x.group_order}, group has order {g.order}")
-    # the translate m*h is column h of the table read at m's elements;
-    # itemgetter of one index returns no tuple, so {0}*h = (h,) is apart
-    getters = [itemgetter(*m) for m in x.members if len(m) > 1]
-    singleton = (0,) in x.members
     arcs = set()
-    for h, column in enumerate(zip(*g.table)):
-        if singleton:
-            arcs.add((h, (h,)))
-        for get in getters:
-            arcs.add((h, tuple(sorted(get(column)))))
+    for m in x.members:
+        arcs.update(enumerate(_translates(g, m)))
     return Dihypergraph(vertex_count=g.order, arcs=frozenset(arcs))
 
 
@@ -103,8 +102,7 @@ def ch_construct(g: FiniteGroup, y: CayleyHyperset) -> UndirectedHypergraph:
             )
     edges = set()
     for m in y.members:
-        for h in g.elements():
-            edges.add(right_translate(g, m, h))
+        edges.update(_translates(g, m))
     return UndirectedHypergraph(vertex_count=g.order, edges=frozenset(edges))
 
 

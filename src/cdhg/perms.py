@@ -58,8 +58,8 @@ class PermGroup:
     checks conjugation on it instead of on every element.  A searched
     chain's generators are the maps its search found, a strong
     generating set (groups._stabiliser_chain); a chain read off
-    elements defaults to its maps past the identity, which for a
-    regular group are T_0[1:].
+    elements has its maps past the identity, and a regular group's
+    default to T_0[1:].
     """
 
     def __init__(
@@ -73,21 +73,23 @@ class PermGroup:
         self.generators = generators
 
     @staticmethod
-    def _from_elements(
-        degree: int,
-        elements: Iterable[tuple[int, ...]],
-        generators: Optional[tuple[Permutation, ...]] = None,
-    ) -> "PermGroup":
+    def _regular(t0: tuple[tuple[int, ...], ...], generators: tuple = ()) -> "PermGroup":
+        """The regular group t0 lists in order of image of 0; the later
+        levels hold the identity alone, as its other elements move 0."""
+        gens = generators or tuple(map(Permutation, t0[1:]))
+        return PermGroup(len(t0), (t0, *[(t0[0],)] * (len(t0) - 1)), gens)
+
+    @staticmethod
+    def _from_elements(degree: int, elements: Iterable[tuple[int, ...]]) -> "PermGroup":
         """The group G whose chain groups._chain_of_elements reads off
-        these image tuples of its elements; the generators default to the
+        these image tuples of its elements; its generators are the
         chain's non-identity maps.  elements must hold, for each k and
         each point w of k's orbit under the maps of G fixing 0..k-1, one
         such map sending k to w, as all of G does; nothing checks it, and
         other input gives a wrong chain: {id, (0 1), (1 2)} reads as
         order 4."""
         transversals = _chain_of_elements(degree, elements)
-        if generators is None:
-            generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
+        generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
         return PermGroup(degree, transversals, generators)
 
     @cached_property
@@ -126,10 +128,9 @@ class PermGroup:
 
 def right_regular(g: FiniteGroup) -> PermGroup:
     """The right translations v -> v*h, one per group element: the
-    columns of the table, each moving 0 unless it is the identity."""
-    columns = list(zip(*g.table))
-    gens = tuple(Permutation(columns[h]) for h in g.generators)
-    return PermGroup._from_elements(g.order, columns, gens)
+    columns of the table, column h sending 0 to h."""
+    columns = tuple(zip(*g.table))
+    return PermGroup._regular(columns, tuple(Permutation(columns[h]) for h in g.generators))
 
 
 def is_regular(p: PermGroup, n: int) -> bool:
@@ -164,7 +165,8 @@ def _cycle_step(k: int, x: tuple[int, ...], length: int) -> Optional[int]:
     point, so back at k it has closed, and must have the common length;
     a walk that has taken length steps without coming back lies on a
     longer cycle.  At the last level every cycle has closed, so exactly
-    the semiregular permutations pass every level."""
+    the semiregular permutations pass every level.  Their one cycle
+    length divides len(x), so a first cycle of another length cuts."""
     cur, steps = x[k], 1
     while cur != k:
         if steps == length:
@@ -172,7 +174,7 @@ def _cycle_step(k: int, x: tuple[int, ...], length: int) -> Optional[int]:
         if cur > k:
             return length
         cur, steps = x[cur], steps + 1
-    if length and steps != length:
+    if steps != length and (length or len(x) % steps):
         return None
     return steps
 
@@ -195,12 +197,10 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     those are indexed once, in image order, and slots hold indices.
     They are found by groups._chain_search with _cycle_step, which cuts
     a partial product as soon as its cycles cannot share one length,
-    and perms is not listed on the group.  Each subgroup found is read
-    off its members by PermGroup._from_elements: every member but the
-    identity moves 0, so its chain is T_0 alone, and its generators are
-    T_0 past the identity.  Products are not memoised: in S8 a table of
-    them answered 31% of lookups and doubled the search's peak memory
-    without making it faster.
+    and perms is not listed on the group.  Each subgroup found is built
+    from its sorted members by PermGroup._regular.  Products are not
+    memoised: in S8 a table of them answered 31% of lookups and doubled
+    the search's peak memory without making it faster.
     """
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
@@ -254,7 +254,49 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
     descend([])
     # indices follow image order, so sorted index tuples sort the
     # subgroups as their sorted image lists would
-    return [PermGroup._from_elements(n, map(ims.__getitem__, r)) for r in sorted(results)]
+    return [PermGroup._regular(tuple(map(ims.__getitem__, r))) for r in sorted(results)]
+
+
+def _conjugacy_classes(t0s: list, generators: Iterable[Permutation]) -> list[list[int]]:
+    """The listed regular subgroups' classes (sorted index lists, by first
+    index) under conjugation by the generators' group; RuntimeError when
+    a conjugate is not listed.  Breadth first, R_j^a is the one subgroup
+    holding the conjugates a^-1 then t then a of R_j's members t but the
+    identity, made only until they leave one candidate.
+
+    So one recovery serves a class, when the group is Aut(h) (whose
+    every generator must then preserve the arcs).  For a in Aut(h) and R
+    regular in Aut(h), R^a is regular in Aut(h), and conjugation by a is
+    an isomorphism from R to R^a: their recovered groups share an order
+    profile.  Both preserve the arcs, so cd_construct of each recovery
+    is h (regular_to_cayley), and both read the same arcs at vertex 0:
+    R^a's round trip holds exactly when R's does."""
+    holders: dict[tuple[int, ...], set[int]] = {}
+    for j, t0 in enumerate(t0s):
+        for t in t0[1:]:
+            holders.setdefault(t, set()).add(j)
+    conjugators = [(itemgetter(*_inverse(a.images)), a.images) for a in generators]
+    classes, seen = [], set()
+    for start in range(len(t0s)):
+        if start in seen:
+            continue
+        members = [start]
+        seen.add(start)
+        for j in members:
+            for undo, a in conjugators:
+                left = None  # stays None for the trivial group, its own conjugate
+                for t in t0s[j][1:]:
+                    held = holders.get(itemgetter(*undo(t))(a), set())
+                    left = held if left is None else left & held
+                    if len(left) < 2:
+                        break
+                if left is not None and len(left) != 1:
+                    raise RuntimeError("a conjugate of a regular subgroup is not listed once")
+                if left and not left <= seen:
+                    seen |= left
+                    members.extend(left)
+        classes.append(sorted(members))
+    return classes
 
 
 class CayleyRecovery(SimpleNamespace):
@@ -291,13 +333,6 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     if cd_construct(group, hyperset) != h:
         raise ValueError("the given permutations do not preserve the arcs of h")
     return CayleyRecovery(group=group, hyperset=hyperset)
-
-
-def _generator_images(small: PermGroup) -> list[tuple[int, ...]]:
-    """The images of each non-identity generator of small.  Conjugation
-    is an injective homomorphism, so it maps small onto itself as soon
-    as it maps these into small."""
-    return [s.images for s in small.generators if not s.is_identity()]
 
 
 def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) -> bool:
@@ -338,10 +373,10 @@ def normalizer(big: PermGroup, small: PermGroup) -> PermGroup:
     if not all(p in big for p in small.generators):
         raise ValueError("small is not contained in big")
     t0 = small.transversals[0]
-    # checks[k] holds the triples (v, w, s(v)) of the non-identity
-    # generators s = t_w with max(v, w, s(v)) = k
+    # checks[k] holds the triples (v, w, s(v)) of the generators s = t_w
+    # with max(v, w, s(v)) = k; the identity's hold for every x fixing 0
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for s in _generator_images(small):
+    for s in (p.images for p in small.generators):
         w = s[0]
         for v, sv in enumerate(s):
             checks[max(v, w, sv)].append((v, w, sv))
@@ -407,7 +442,7 @@ def verify_theorem2(
     # of its chain's transversal maps, each itself an element of norm: so
     # every element normalises G_R exactly when every non-identity map
     # of the chain does, and only those are tested
-    probes = [itemgetter(*s) for s in _generator_images(g_r)]
+    probes = [itemgetter(*s.images) for s in g_r.generators]
     inside = set(translations)
     g_r_normal = all(
         _conjugates_into(q, probes, inside) for t in norm.transversals for q in t[1:]

@@ -208,6 +208,13 @@ def all_subgroups_up_to(table, max_order):
     return found
 
 
+def brute_translate_arcs(table, members):
+    """Every arc (h, m*h) of CD(G, X), m*h the sorted products s*h over
+    s in m, for each element h and member m."""
+    n = len(table)
+    return {(h, tuple(sorted(table[s][h] for s in m))) for m in members for h in range(n)}
+
+
 def _compose(p, q):
     """Left-to-right composition of image tuples: v -> q[p[v]]."""
     return tuple(q[v] for v in p)
@@ -279,6 +286,21 @@ def brute_regular_subgroups(perms, n):
         if len(orbit) == n:
             regulars.append(s)
     return regulars
+
+
+def brute_conjugacy_classes(group, subgroups):
+    """The classes of the subgroups (collections of image tuples) under
+    conjugation by every element x of group, s -> x^-1 s x member by
+    member, each a sorted list of indices, in order of first index."""
+    index = {frozenset(s): i for i, s in enumerate(subgroups)}
+    classes, seen = [], set()
+    for i, s in enumerate(subgroups):
+        if i not in seen:
+            conjugates = (frozenset(_compose(_compose(_inverse(x), t), x) for t in s) for x in group)
+            cls = {index[c] for c in conjugates}
+            seen |= cls
+            classes.append(sorted(cls))
+    return classes
 
 
 def brute_normalizer(big, small):

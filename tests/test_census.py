@@ -133,6 +133,24 @@ def test_run_census_reads_aut_g_x_once_per_instance(monkeypatch):
     assert result.render().endswith("result: PASS\n")
 
 
+def test_run_census_recovers_one_regular_subgroup_per_class(monkeypatch):
+    # the 61 translations' round trips, and one recovery for each of the
+    # 66 Aut(h)-classes of the 340 regular subgroups of the 44 distinct
+    # arc sets, not one per subgroup
+    import cdhg.census
+
+    calls = []
+    recover = cdhg.census.regular_to_cayley
+
+    def counted(h, r):
+        calls.append(h.arcs)
+        return recover(h, r)
+
+    monkeypatch.setattr(cdhg.census, "regular_to_cayley", counted)
+    assert run_census(max_order=7, max_member_size=3).render().endswith("result: PASS\n")
+    assert (len(calls), len(set(calls))) == (127, 44)
+
+
 def test_run_census_tallies_a_failed_recovery(monkeypatch):
     # both the translations' round trip and every other regular
     # subgroup's are tallied as failures instead of raising

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from cdhg import (
     census_corpus,
     census_hypersets,
     ch_construct,
+    direct_product,
     dump_dihypergraph,
     hypergraph_isomorphic,
     is_cayley_closed,
@@ -20,6 +22,8 @@ from cdhg import (
     is_undirected,
     load_dihypergraph,
     make_cyclic,
+    make_dihedral,
+    non_cayley_equivalent_representatives,
     single_cayley_closure,
     subgroup_generated,
     to_cayley_digraph,
@@ -71,6 +75,23 @@ def test_cd_construct_rejects_order_mismatch():
     x = validate_hyperset(make_cyclic(5), [[0, 1]])
     with pytest.raises(ValueError):
         cd_construct(make_cyclic(6), x)
+
+
+def test_constructors_match_the_brute_force_translates():
+    # every census family to order 10 and of three groups of order 64,
+    # seeds of up to 3 elements: the arcs are the oracle's (h, m*h), and
+    # ch_construct of one member per class gives their edges
+    z8xz8 = direct_product(make_cyclic(8), make_cyclic(8))
+    count = 0
+    for g in (*census_corpus(10), make_cyclic(64), make_dihedral(32), z8xz8):
+        for x in census_hypersets(g, 3):
+            arcs = oracles.brute_translate_arcs(g.table, x.members)
+            assert cd_construct(g, x).arcs == arcs
+            reps = non_cayley_equivalent_representatives(g, x)
+            edges = {e for _, e in oracles.brute_translate_arcs(g.table, reps.members)}
+            assert ch_construct(g, reps).edges == edges
+            count += 1
+    assert count == 2272
 
 
 def test_ch_construct_fano():
@@ -443,6 +464,38 @@ def test_isomorphic_agrees_with_vf2_on_seeded_loaded_pairs():
             assert relabel(a, q) == b
         outcomes[q is not None] += 1
     assert min(outcomes.values()) > 500
+
+
+def test_isomorphic_agrees_with_vf2_on_seeded_pairs_of_one_code_bucket():
+    # on 4 vertices, the cases with five size-2 arcs fall into 1,826
+    # classes, and their sorted pair-code keys into 1,809 buckets: in 17
+    # buckets two classes agree on every code, and only the arc checks
+    # tell them apart.  Seeded pairs from those buckets, VF2 the oracle
+    possible = [(v, e) for v in range(4) for e in combinations(range(4), 2)]
+    relabels = [{(v, e): (p[v], tuple(sorted(map(p.__getitem__, e)))) for v, e in possible}
+                for p in permutations(range(4))]
+    classes = {}
+    for arcs in combinations(possible, 5):
+        least = min(tuple(sorted(map(r.__getitem__, arcs))) for r in relabels)
+        classes.setdefault(least, []).append(arcs)
+    buckets = {}
+    for cases in classes.values():
+        codes = _pair_codes(Dihypergraph(4, frozenset(cases[0])))
+        key = tuple(sorted((row[v], tuple(sorted(row))) for v, row in enumerate(codes)))
+        buckets.setdefault(key, []).append(cases)
+    shared = [b for b in buckets.values() if len(b) > 1]
+    assert (len(classes), len(buckets), len(shared)) == (1826, 1809, 17)
+    rng = random.Random(23)
+    outcomes = {True: 0, False: 0}
+    for bucket in shared:
+        for _ in range(64):
+            a, b = (Dihypergraph(4, frozenset(rng.choice(rng.choice(bucket)))) for _ in "ab")
+            q = hypergraph_isomorphic(a, b)
+            assert (q is not None) == oracles.vf2_isomorphic(4, a.arcs, b.arcs)
+            if q is not None:
+                assert relabel(a, q) == b
+            outcomes[q is not None] += 1
+    assert min(outcomes.values()) > 400
 
 
 def test_isomorphic_checks_size_2_arcs_that_miss_their_vertex():

@@ -598,6 +598,110 @@ def test_semiregular_rule_matches_the_powers_oracle(n):
     assert set(kept) == set(filter(oracles.is_semiregular, permutations(range(n))))
 
 
+def test_semiregular_search_on_the_s7_loops_cuts_closed_cycles_that_miss_7():
+    # the 720 7-cycles and the identity; a cycle of length 2 to 6 closed
+    # at an early level ends its branch there, as 7 has no such divisor,
+    # so the search takes well under the 6,778 steps it took without it
+    from cdhg.perms import _cycle_step
+
+    z7 = make_cyclic(7)
+    aut = aut_hypergraph(cd_construct(z7, validate_hyperset(z7, [[0]])))
+    calls = [0]
+
+    def counted(k, x, length):
+        calls[0] += 1
+        return _cycle_step(k, x, length)
+
+    assert len(perms._chain_search(aut.transversals, counted, 0)) == 721
+    assert calls[0] < 5000
+
+
+@lru_cache(maxsize=None)
+def census_10_regulars():
+    """(h, Aut(h), its regular subgroups) per distinct arc set of
+    run_census(10, 3) whose Aut(h) is under the order cap, h from the
+    first instance that gives it."""
+    seen, out = set(), []
+    for g in census_corpus(10):
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            if h.arcs not in seen:
+                seen.add(h.arcs)
+                try:
+                    aut = aut_hypergraph(h)
+                except CutoffExceeded:
+                    continue
+                out.append((h, aut, find_regular_subgroups(aut, g.order)))
+    return out
+
+
+def test_regular_chains_equal_those_read_off_the_closure():
+    # the chain and generators of every regular subgroup the census to
+    # order 10 finds, and of every right regular representation, are
+    # those groups._chain_of_elements reads off the closure of the
+    # generators, listed by the oracle
+    found = census_10_regulars()
+    assert (len(found), sum(len(regs) for _, _, regs in found)) == (150, 6684)
+    for h, _, regs in found:
+        n = h.vertex_count
+        for r in regs:
+            gens = [p.images for p in r.generators]
+            ref = PermGroup._from_elements(n, oracles._perm_closure(gens, n))
+            assert (r.transversals, r.generators) == (ref.transversals, ref.generators)
+    for g in census_corpus(10):
+        n = g.order
+        columns = [tuple(g.table[i][j] for i in range(n)) for j in range(n)]
+        gens = [columns[s] for s in g.generators]
+        g_r = right_regular(g)
+        ref = PermGroup._from_elements(n, oracles._perm_closure(gens, n))
+        assert g_r.transversals == ref.transversals
+        assert [p.images for p in g_r.generators] == gens
+
+
+def test_regular_classes_partition_by_the_normalizer_index():
+    # on each census arc set to order 10 the classes partition the list,
+    # first members in list order, and a class has |Aut(h) : N(R)|
+    # members, N(R) of its first member R from normalizer, a chain
+    # search that shares no code with the classes
+    sizes = []
+    for _, aut, regs in census_10_regulars():
+        classes = perms._conjugacy_classes([r.transversals[0] for r in regs], aut.generators)
+        assert sorted(j for c in classes for j in c) == list(range(len(regs)))
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        for c in classes:
+            assert len(c) * normalizer(aut, regs[c[0]]).order == aut.order
+        sizes.extend(map(len, classes))
+    assert (len(sizes), max(sizes)) == (358, 1260)
+
+
+def test_regular_classes_match_the_brute_force_conjugates():
+    # every census arc set to order 10 with |Aut(h)| <= 48: conjugating
+    # every subgroup by every element of Aut(h) gives the same classes
+    checked = 0
+    for h, aut, regs in census_10_regulars():
+        if aut.order <= 48:
+            t0s = [r.transversals[0] for r in regs]
+            elements = [p.images for p in aut.perms]
+            assert perms._conjugacy_classes(t0s, aut.generators) == (
+                oracles.brute_conjugacy_classes(elements, t0s)
+            )
+            checked += 1
+    assert checked == 83
+
+
+def test_regular_classes_refuse_a_conjugate_that_is_not_listed():
+    # S4 holds the normal Klein group, listed first, and three cyclic
+    # regular subgroups in one class; with one of those left out, the
+    # class is not closed
+    regs = [r.transversals[0] for r in regular_in_symmetric(4)]
+    assert [len(c) for c in perms._conjugacy_classes(regs, symmetric(4).generators)] == [1, 3]
+    # a cyclic one has a member whose square moves 0, the Klein group none
+    cyclic = [j for j, t0 in enumerate(regs) if any(t[t[0]] for t in t0)]
+    del regs[cyclic[0]]
+    with pytest.raises(RuntimeError, match="not listed once"):
+        perms._conjugacy_classes(regs, symmetric(4).generators)
+
+
 def test_normalizer_is_normalized_by_sympy_on_census_arc_sets():
     # every distinct census arc set of order 7 or 8, with the right
     # translations of the first group that gives it: sympy's own
