@@ -79,12 +79,31 @@ def cd_construct(g: FiniteGroup, x: CayleyHyperset) -> Dihypergraph:
 
     Distinct members stay distinct after any right translate, so the arc
     count is always |G| * |X|.
+
+    Members of one Cayley class share their translates.  Taking the
+    members in order, if m*s^-1 is a member m0 done before, for some s in
+    m, then m = m0*s and m*h = m0*(s*h): m's edge at h is m0's edge at
+    s*h, read off m0's translates through row s of the table, with no
+    sort and no new tuple.  Only a member with no such m0 sorts its own
+    translates, so a Cayley-closed X, whose edges are each entered from
+    each of their vertices, sorts each distinct edge once.
     """
     if x.group_order != g.order:
         raise ValueError(f"hyperset is over order {x.group_order}, group has order {g.order}")
+    table, inverse = g.table, g.inverse
+    done: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     arcs = set()
     for m in x.members:
-        arcs.update(enumerate(_translates(g, m)))
+        rows = [table[t] for t in m]
+        for s in m[1:]:
+            si = inverse[s]
+            row = done.get(tuple(sorted([r[si] for r in rows])))
+            if row is not None:
+                arcs.update(enumerate(map(row.__getitem__, table[s])))
+                break
+        else:
+            row = done[m] = list(_translates(g, m))
+            arcs.update(enumerate(row))
     return Dihypergraph(vertex_count=g.order, arcs=frozenset(arcs))
 
 
@@ -140,9 +159,10 @@ def is_connected(h: Dihypergraph) -> bool:
 
 
 def is_undirected(h: Dihypergraph) -> bool:
-    """Every edge is entered from each of its vertices."""
+    """Every edge is entered from each of its vertices, tested once per
+    distinct edge rather than once per arc entering it."""
     arcs = h.arcs
-    return all((w, e) in arcs for _, e in arcs for w in e)
+    return all((w, e) in arcs for e in h.edges for w in e)
 
 
 def uniformity(h: Dihypergraph) -> Optional[int]:
@@ -300,13 +320,15 @@ def dump_dihypergraph(h: Dihypergraph) -> str:
     """Render the dihypergraph dump format, arcs sorted by vertex then edge.
     Labels are made up to the largest vertex an arc names, the last
     arc's vertex or an edge's last, so a large vertex count alone costs
-    nothing."""
+    nothing.  Each distinct edge's text is rendered once, however many
+    arcs enter it."""
     arcs = h.sorted_arcs()
-    top = max([e[-1] for _, e in arcs] + [arcs[-1][0]]) if arcs else -1
+    edges = h.edges
+    top = max([e[-1] for e in edges] + [arcs[-1][0]]) if arcs else -1
     label = [str(v) for v in range(top + 1)]
+    text = {e: " ".join([label[u] for u in e]) for e in edges}
     lines = [f"dihypergraph {h.vertex_count}"]
-    for v, e in arcs:
-        lines.append(f"arc {label[v]} : " + " ".join([label[u] for u in e]))
+    lines.extend([f"arc {label[v]} : {text[e]}" for v, e in arcs])
     return "\n".join(lines) + "\n"
 
 
@@ -319,7 +341,12 @@ def load_dihypergraph(text: str) -> Dihypergraph:
     Canonical indices decode by one lookup, which also does the range
     check; any other token (+1, 01, -0, out of range or not a number)
     goes through int().  The lookup holds no more entries than the text
-    has characters, so a large vertex count alone costs nothing.
+    has characters, so a large vertex count alone costs nothing.  Each
+    distinct text after the colon is decoded once: an edge every token of
+    which the lookup decodes is kept by its text, and a later arc line
+    with the same text reuses it.  A line whose vertex or edge the lookup
+    misses decodes wholly through int(), so its message is the one it
+    would have on its own.
     """
     lines = [ln.partition("#")[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -333,6 +360,7 @@ def load_dihypergraph(text: str) -> Dihypergraph:
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     lookup = {str(u): u for u in range(min(n, len(text)))}.__getitem__
+    decoded: dict[str, tuple[int, ...]] = {}
     arcs = set()
     for ln in lines[1:]:
         head, colon, tail = ln.partition(":")
@@ -342,16 +370,20 @@ def load_dihypergraph(text: str) -> Dihypergraph:
         if len(words) > 2:
             raise ValueError(f"bad arc line {ln!r}")
         try:
-            v, *edge = map(lookup, [words[1], *tail.split()])
+            v = lookup(words[1])
+            edge = decoded.get(tail)
+            if edge is None:
+                edge = decoded[tail] = tuple(sorted(set(map(lookup, tail.split()))))
         except KeyError:
             try:
-                v, *edge = map(int, [words[1], *tail.split()])
+                v, *raw = map(int, [words[1], *tail.split()])
             except ValueError:
                 raise ValueError(f"bad arc line {ln!r}") from None
-            bad = [u for u in (v, *sorted(set(edge))) if not 0 <= u < n]
+            edge = tuple(sorted(set(raw)))
+            bad = [u for u in (v, *edge) if not 0 <= u < n]
             if bad and edge:
                 raise ValueError(f"vertex {bad[0]} out of range 0..{n - 1} in {ln!r}")
         if not edge:
             raise ValueError(f"empty edge in arc line {ln!r}")
-        arcs.add((v, tuple(sorted(set(edge)))))
+        arcs.add((v, edge))
     return Dihypergraph(vertex_count=n, arcs=frozenset(arcs))

@@ -57,27 +57,36 @@ class PermGroup:
     generators is a subset whose closure is the whole group; normalizer
     checks conjugation on it instead of on every element.  A searched
     chain's generators are the maps its search found, a strong
-    generating set (groups._stabiliser_chain); a chain read off
-    elements has its maps past the identity, and a regular group's
-    default to T_0[1:].
+    generating set (groups._stabiliser_chain).  When none are given, as
+    for a chain read off elements or a regular group the search found,
+    they are the chain's maps past the identity (T_0[1:] for a regular
+    group), made on first read.
     """
 
     def __init__(
         self,
         degree: int,
         transversals: tuple[tuple[tuple[int, ...], ...], ...],
-        generators: tuple[Permutation, ...],
+        generators: Optional[tuple[Permutation, ...]] = None,
     ):
         self.degree = degree
         self.transversals = transversals
-        self.generators = generators
+        if generators is not None:
+            self.generators = generators
+
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The chain's maps past the identity, when none were given: every
+        element is a product of them."""
+        return tuple(Permutation(r) for reps in self.transversals for r in reps[1:])
 
     @staticmethod
-    def _regular(t0: tuple[tuple[int, ...], ...], generators: tuple = ()) -> "PermGroup":
+    def _regular(
+        t0: tuple[tuple[int, ...], ...], generators: Optional[tuple[Permutation, ...]] = None
+    ) -> "PermGroup":
         """The regular group t0 lists in order of image of 0; the later
         levels hold the identity alone, as its other elements move 0."""
-        gens = generators or tuple(map(Permutation, t0[1:]))
-        return PermGroup(len(t0), (t0, *[(t0[0],)] * (len(t0) - 1)), gens)
+        return PermGroup(len(t0), (t0, *[(t0[0],)] * (len(t0) - 1)), generators)
 
     @staticmethod
     def _from_elements(degree: int, elements: Iterable[tuple[int, ...]]) -> "PermGroup":
@@ -88,9 +97,7 @@ class PermGroup:
         such map sending k to w, as all of G does; nothing checks it, and
         other input gives a wrong chain: {id, (0 1), (1 2)} reads as
         order 4."""
-        transversals = _chain_of_elements(degree, elements)
-        generators = tuple(Permutation(r) for reps in transversals for r in reps[1:])
-        return PermGroup(degree, transversals, generators)
+        return PermGroup(degree, _chain_of_elements(degree, elements))
 
     @cached_property
     def perms(self) -> frozenset[Permutation]:

@@ -215,6 +215,13 @@ def brute_translate_arcs(table, members):
     return {(h, tuple(sorted(table[s][h] for s in m))) for m in members for h in range(n)}
 
 
+def brute_is_undirected(arcs):
+    """Every edge some arc enters is entered from each of its vertices,
+    tested arc by arc."""
+    arcs = set(arcs)
+    return all((w, e) in arcs for _, e in arcs for w in e)
+
+
 def _compose(p, q):
     """Left-to-right composition of image tuples: v -> q[p[v]]."""
     return tuple(q[v] for v in p)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cdhg import (
     Dihypergraph,
+    FiniteGroup,
     cd_construct,
     census_corpus,
     census_hypersets,
@@ -94,6 +95,35 @@ def test_constructors_match_the_brute_force_translates():
     assert count == 2272
 
 
+def test_cd_construct_matches_the_brute_force_translates_on_partial_classes():
+    # families that are not closed, on nonabelian groups: each draws a few
+    # members from the translate classes of random seeds, so a class may
+    # be cut short and a member's equivalent partner may be absent, or
+    # come before or after it in sorted order
+    rng = random.Random(20241020)
+    d4 = make_dihedral(4)
+    p = [0, *rng.sample(range(1, 8), 7)]
+    table = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            table[p[i]][p[j]] = p[d4.table[i][j]]
+    groups = (make_dihedral(3), d4, make_dihedral(5), FiniteGroup.from_table("D4 relabelled", table))
+    partial = shared = 0
+    for g in groups:
+        for _ in range(150):
+            raw = []
+            for _ in range(rng.randint(1, 4)):
+                seed = [0, *rng.sample(range(1, g.order), rng.randint(0, 3))]
+                cls = sorted(oracles.brute_single_closure(g.table, seed))
+                raw.extend(rng.sample(cls, rng.randint(1, len(cls))))
+            x = validate_hyperset(g, raw)
+            assert cd_construct(g, x).arcs == oracles.brute_translate_arcs(g.table, x.members)
+            classes = oracles.brute_cayley_classes(g.table, x.members)
+            shared += len(x) - len(classes)
+            partial += any(len(c) < len(oracles.brute_single_closure(g.table, c[0])) for c in classes)
+    assert shared > 800 and partial > 300
+
+
 def test_ch_construct_fano():
     z7 = make_cyclic(7)
     ch = ch_construct(z7, validate_hyperset(z7, [[0, 1, 3]]))
@@ -152,6 +182,29 @@ def test_is_undirected(fano_cd):
     assert not is_undirected(cd_construct(z5, validate_hyperset(z5, [[0, 1]])))
     z6 = make_cyclic(6)
     assert is_undirected(cd_construct(z6, validate_hyperset(z6, [[0, 3], [0, 2, 4]])))
+
+
+def test_is_undirected_on_loaded_arcs_that_miss_their_vertex():
+    # an edge entered only from outside it is not undirected; one entered
+    # from each of its vertices is, whatever other arcs enter it
+    cases = {
+        "dihypergraph 3\narc 0 : 1 2\n": False,
+        "dihypergraph 3\narc 0 : 1 2\narc 1 : 1 2\n": False,
+        "dihypergraph 3\narc 0 : 1 2\narc 1 : 1 2\narc 2 : 1 2\n": True,
+        "dihypergraph 3\narc 0 : 1\narc 1 : 1\n": True,
+        "dihypergraph 3\narc 0 : 1\n": False,
+        "dihypergraph 3\n": True,
+    }
+    for text, expected in cases.items():
+        h = load_dihypergraph(text)
+        assert is_undirected(h) == oracles.brute_is_undirected(h.arcs) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=dihypergraph_texts())
+def test_is_undirected_matches_the_brute_force_on_loaded_text(drawn):
+    h = load_dihypergraph(drawn[2])
+    assert is_undirected(h) == oracles.brute_is_undirected(h.arcs)
 
 
 def test_uniformity(fano_cd):

@@ -290,6 +290,36 @@ def test_load_dihypergraph_messages(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    # each later line repeats an earlier good line's text after the colon,
+    # and still gets its own message
+    ("dihypergraph 3\narc 0 : 1 2\narc 3 : 1 2\n", "vertex 3 out of range 0..2 in 'arc 3 : 1 2'"),
+    ("dihypergraph 3\narc 0 : 1 2\narc 03 : 1 2\n", "vertex 3 out of range 0..2 in 'arc 03 : 1 2'"),
+    ("dihypergraph 3\narc 0 : 1 2\narc -1 : 1 2\n", "vertex -1 out of range 0..2 in 'arc -1 : 1 2'"),
+    ("dihypergraph 3\narc 0 : 1 2\narc x : 1 2\n", "bad arc line 'arc x : 1 2'"),
+    ("dihypergraph 3\narc 0 :\narc 5 :\n", "empty edge in arc line 'arc 0 :'"),
+    ("dihypergraph 3\narc 0 : 1\narc 5 :\n", "empty edge in arc line 'arc 5 :'"),
+    ("dihypergraph 3\narc 0 : 1\narc 1 : 1\narc 5 :\n", "empty edge in arc line 'arc 5 :'"),
+])
+def test_load_dihypergraph_messages_on_repeated_edge_text(text, message):
+    with pytest.raises(ValueError) as err:
+        load_dihypergraph(text)
+    assert str(err.value) == message
+
+
+def test_load_dihypergraph_reads_a_vertex_spelled_otherwise_before_a_repeated_edge():
+    h = load_dihypergraph("dihypergraph 3\narc 0 : 1 2\narc +1 : 1 2\narc 02 : 1 2\narc -0 : 2\n")
+    assert h.arcs == frozenset({(0, (1, 2)), (1, (1, 2)), (2, (1, 2)), (0, (2,))})
+
+
+def test_load_dihypergraph_reads_one_edge_spelled_two_ways_as_one_edge():
+    h = load_dihypergraph(
+        "dihypergraph 4\narc 0 : 1 2\narc 1 : 2 1\narc 2 : 02 +1 1\narc 3 : 1\t2\n"
+    )
+    assert h.arcs == frozenset({(v, (1, 2)) for v in range(4)})
+    assert h.edges == frozenset({(1, 2)})
+
+
 def test_load_dihypergraph_with_a_huge_vertex_count_stays_small():
     n = 10**12
     h = load_dihypergraph(f"dihypergraph {n}\narc {n - 1} : 0 5\n")

@@ -658,6 +658,19 @@ def test_regular_chains_equal_those_read_off_the_closure():
         assert [p.images for p in g_r.generators] == gens
 
 
+def test_regular_subgroups_make_their_generators_on_first_read():
+    # the census reads only T_0 of most regular subgroups, so their
+    # generators are not made until read, and then are T_0 past the
+    # identity
+    h, aut, _ = max(census_10_regulars(), key=lambda found: len(found[2]))
+    regs = find_regular_subgroups(aut, h.vertex_count)
+    assert len(regs) > 100
+    for r in regs:
+        assert "generators" not in vars(r)
+        assert [p.images for p in r.generators] == list(r.transversals[0][1:])
+        assert "generators" in vars(r)
+
+
 def test_regular_classes_partition_by_the_normalizer_index():
     # on each census arc set to order 10 the classes partition the list,
     # first members in list order, and a class has |Aut(h) : N(R)|
