@@ -157,16 +157,19 @@ def _validate_table(
     n = len(table)
     if n == 0:
         raise ValueError("empty table: a group has at least the identity")
+    # membership, not comparison, so an entry that is no integer fails here
+    points = frozenset(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
             raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            j, v = next((j, v) for j, v in enumerate(row) if not (0 <= v < n))
+        if not points.issuperset(row):
+            j, v = next((j, v) for j, v in enumerate(row) if v not in points)
             raise ValueError(f"entry table[{i}][{j}] = {v} is out of range 0..{n - 1}")
 
     # identity must sit at index 0; if some other index acts as identity,
     # say so, since the fix is a renumbering rather than a different table
-    if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
+    identity = tuple(range(n))
+    if table[0] != identity or tuple(map(itemgetter(0), table)) != identity:
         for e in range(1, n):
             if all(table[e][j] == j for j in range(n)) and all(table[i][e] == i for i in range(n)):
                 raise ValueError(
@@ -174,9 +177,11 @@ def _validate_table(
                 )
         raise ValueError("no identity element: index 0 is not a two-sided identity")
 
-    for i, row in enumerate(table):
-        if 0 not in row:
-            raise ValueError(f"no inverse for element {i}")
+    try:
+        inverse = tuple(row.index(0) for row in table)
+    except ValueError:
+        i = next(i for i, row in enumerate(table) if 0 not in row)
+        raise ValueError(f"no inverse for element {i}") from None
 
     reached = [False] * n
     reached[0] = True
@@ -198,7 +203,7 @@ def _validate_table(
                 )
         gens.append(a)
         _grow_closure(table, gens, reached, closure)
-    return tuple(row.index(0) for row in table), tuple(gens)
+    return inverse, tuple(gens)
 
 
 def _grow_closure(
@@ -527,14 +532,19 @@ def _chain_search(
 
 
 def _stabiliser_chain(
-    n: int, base: Sequence[int], first: Callable[[int, int], Optional[tuple[int, ...]]]
+    n: int,
+    base: Sequence[int],
+    first: Callable[[int, int], Optional[tuple[int, ...]]],
+    candidates: Sequence[Iterable[int]],
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[tuple[int, ...], ...]]:
     """The transversals and the maps found of a permutation group G on
     0..n-1 whose only element fixing each of base = b_0, b_1, ... is the
     identity.  first(k, w) is the first map of G fixing b_0..b_(k-1) and
-    sending b_k to w, as an image tuple, or None.  Refused as 'aut order
-    over cap AUT_ORDER_CAP: at least N' before any element is listed, as
-    soon as the levels built so far give more than the cap.
+    sending b_k to w, as an image tuple, or None; it is asked only for
+    the points of candidates[k], in order, which must hold every image of
+    b_k under G^(k).  Refused as 'aut order over cap AUT_ORDER_CAP: at
+    least N' before any element is listed, as soon as the levels built
+    so far give more than the cap.
 
     G^(k) holds the maps of G fixing each of b_0..b_(k-1), and T_k holds
     one map of G^(k) per point of b_k's orbit under G^(k), the identity
@@ -546,7 +556,8 @@ def _stabiliser_chain(
     level k:
 
     - a point in b_k's orbit under <found> is an image of b_k, and
-      b_0..b_(k-1), which G^(k) fixes, are none; neither is searched;
+      b_0..b_(k-1), which G^(k) fixes, are none, nor is a point outside
+      candidates[k]; none of these is searched;
     - for any other w, first(k, w) either yields a map of G^(k) sending
       b_k to w, which joins found, or fails: then w is no image of b_k,
       and nor is any point of w's orbit under <found>, since a
@@ -575,7 +586,7 @@ def _stabiliser_chain(
         b, fixed = base[k], base[:k]
         orbit = _orbit(b, found, identity)
         dead = set(fixed)
-        for w in range(n):
+        for w in candidates[k]:
             if w in orbit or w in dead:
                 continue
             m = first(k, w)
@@ -608,9 +619,10 @@ def _automorphism_search(
     The base is greedy: the elements of the members in index order,
     then the others, each joining when the subgroup H_(k-1) of the
     earlier ones does not hold it.  With no members it is the generators
-    validation found.  first(k, w) sends b_i to itself for i < k and
-    b_k to w if w has b_k's label, then the later base points depth
-    first over their candidates.  Level j closes b_0..b_j -> t_0..t_j by
+    validation found.  The chain asks first(k, w) only for the w with
+    b_k's label, its candidates, and first sends b_i to itself for i < k
+    and b_k to w, then the later base points depth first over their
+    candidates.  Level j closes b_0..b_j -> t_0..t_j by
     _close_partial_map over H_j, then checks each member that lies in
     H_j and not in H_(j-1): its image must be a member.  The last
     level's H is g, so the first closure there that passes is an
@@ -664,9 +676,7 @@ def _automorphism_search(
             return tuple(mapping)
         return next(filter(None, (extend(j + 1, [*images, t]) for t in candidates[j + 1])), None)
 
-    transversals, _ = _stabiliser_chain(
-        n, base, lambda k, w: extend(k, [*base[:k], w]) if labels[w] == labels[base[k]] else None
-    )
+    transversals, _ = _stabiliser_chain(n, base, lambda k, w: extend(k, [*base[:k], w]), candidates)
     return tuple(map(Permutation, sorted(_chain_products(transversals, n))))
 
 

@@ -132,12 +132,15 @@ def underlying(h: Dihypergraph) -> UndirectedHypergraph:
 
 def is_connected(h: Dihypergraph) -> bool:
     """Connectivity of the bipartite incidence structure on vertices and
-    edges; vertices lying in no edge are isolated.  Joining n vertices
+    edges; vertices lying in no edge are isolated."""
+    return _connected(h.vertex_count, h.edges)
+
+
+def _connected(n: int, edges: frozenset[tuple[int, ...]]) -> bool:
+    """is_connected on h's vertex count and edges.  Joining n vertices
     takes n - 1 merges and an edge e makes at most |e| - 1, so edges
     too small to make them give False before any list over the vertices
     is made."""
-    n = h.vertex_count
-    edges = h.edges
     if n - 1 > sum(map(len, edges)) - len(edges):
         return False
     parent = list(range(n))
@@ -159,15 +162,29 @@ def is_connected(h: Dihypergraph) -> bool:
 
 
 def is_undirected(h: Dihypergraph) -> bool:
-    """Every edge is entered from each of its vertices, tested once per
-    distinct edge rather than once per arc entering it."""
-    arcs = h.arcs
-    return all((w, e) in arcs for e in h.edges for w in e)
+    """Every edge is entered from each of its vertices."""
+    return _undirected(h.arcs, h.edges)
+
+
+def _undirected(arcs: frozenset[Arc], edges: frozenset[tuple[int, ...]]) -> bool:
+    """is_undirected on h's arcs and edges.  The pairs (w, e) with e an
+    edge and w in e number sum |e|, since an edge lists distinct
+    vertices.  When every arc holds its own vertex, as every arc
+    cd_construct makes does, the arcs are among those pairs, so they are
+    all of them exactly when the counts agree.  Otherwise each distinct
+    edge is tested once, rather than once per arc entering it."""
+    if all(v in e for v, e in arcs):
+        return len(arcs) == sum(map(len, edges))
+    return all((w, e) in arcs for e in edges for w in e)
 
 
 def uniformity(h: Dihypergraph) -> Optional[int]:
     """The common edge size, or None if edges are absent or of mixed size."""
-    sizes = {len(e) for e in h.edges}
+    return _uniformity(h.edges)
+
+
+def _uniformity(edges: frozenset[tuple[int, ...]]) -> Optional[int]:
+    sizes = set(map(len, edges))
     if len(sizes) == 1:
         return sizes.pop()
     return None
@@ -344,7 +361,8 @@ def load_dihypergraph(text: str) -> Dihypergraph:
     has characters, so a large vertex count alone costs nothing.  Each
     distinct text after the colon is decoded once: an edge every token of
     which the lookup decodes is kept by its text, and a later arc line
-    with the same text reuses it.  A line whose vertex or edge the lookup
+    with the same text reuses it, with no split when its head is the
+    canonical ``arc <v> ``.  A line whose vertex or edge the lookup
     misses decodes wholly through int(), so its message is the one it
     would have on its own.
     """
@@ -359,11 +377,19 @@ def load_dihypergraph(text: str) -> Dihypergraph:
         raise ValueError(f"bad vertex count in {lines[0]!r}") from None
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    lookup = {str(u): u for u in range(min(n, len(text)))}.__getitem__
+    labels = [str(u) for u in range(min(n, len(text)))]
+    lookup = dict(zip(labels, range(n))).__getitem__
+    heads = {f"arc {label} ": u for u, label in enumerate(labels)}
     decoded: dict[str, tuple[int, ...]] = {}
     arcs = set()
     for ln in lines[1:]:
         head, colon, tail = ln.partition(":")
+        # a canonical head followed by a text decoded before is a good
+        # line: the text passed every check when it was first decoded
+        v = heads.get(head)
+        if v is not None and tail in decoded:
+            arcs.add((v, decoded[tail]))
+            continue
         words = head.split()
         if not colon or ":" in tail or not head.startswith("arc ") or len(words) < 2:
             raise ValueError(f"expected 'arc <v> : <vertices>', got {ln!r}")

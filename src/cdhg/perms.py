@@ -158,7 +158,9 @@ def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     AUT_VERTEX_CUTOFF)' by that search, and by the order cap."""
     n = h.vertex_count
     search = _completion_search(h, h)
-    transversals, found = _stabiliser_chain(n, range(n), lambda k, w: search((*range(k), w)))
+    transversals, found = _stabiliser_chain(
+        n, range(n), lambda k, w: search((*range(k), w)), [range(n)] * n
+    )
     return PermGroup(n, transversals, tuple(map(Permutation, found)))
 
 

@@ -6,9 +6,16 @@ import sys
 from pathlib import Path
 
 import cdhg
-from cdhg import direct_product, make_cyclic, serialize_group
+from cdhg import (
+    Dihypergraph,
+    build_analysis_report,
+    direct_product,
+    make_cyclic,
+    serialize_group,
+    validate_hyperset,
+)
 from cdhg.cli import main
-from conftest import refused_at_least
+from conftest import FANO_MEMBERS, refused_at_least
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -37,6 +44,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_report_without_aut_reads_the_edges_once(monkeypatch):
+    # Dihypergraph.edges makes the edges from the arcs on every read
+    reads = []
+    edges = Dihypergraph.edges
+    monkeypatch.setattr(Dihypergraph, "edges", property(lambda h: reads.append(h) or edges.fget(h)))
+    z7 = make_cyclic(7)
+    report = build_analysis_report(z7, validate_hyperset(z7, FANO_MEMBERS), with_aut=False)
+    assert report.render().startswith(FANO_REPORT.split("aut_h")[0])
+    assert len(reads) == 1
 
 
 def test_build_golden(capsys):

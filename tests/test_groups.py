@@ -206,6 +206,39 @@ def test_from_table_rejects_out_of_range_entries():
         FiniteGroup.from_table("oob", [[0, 1], [1, 2]])
 
 
+# each _validate_table refusal, in order of precedence: a table breaking
+# two axioms gets the message of the one checked first
+VALIDATE_CASES = [
+    ([], ValueError, "empty table: a group has at least the identity"),
+    ([[0, 1], [1]], ValueError, "row 1 has 1 entries, expected 2"),
+    ([[0, 5], [1]], ValueError, "entry table[0][1] = 5 is out of range 0..1"),
+    ([[0, 1, 2], [1, 2], [2, 0, 9]], ValueError, "row 1 has 2 entries, expected 3"),
+    ([[0, 1, 2], [1, 7, -1], [2, 0, 1]], ValueError, "entry table[1][1] = 7 is out of range 0..2"),
+    ([[0, 1], [1, -1]], ValueError, "entry table[1][1] = -1 is out of range 0..1"),
+    ([[1, 1], [1, 2]], ValueError, "entry table[1][1] = 2 is out of range 0..1"),
+    # entries outside 0..n-1 that are not integers
+    ([[0, 1], [1, 1.5]], ValueError, "entry table[1][1] = 1.5 is out of range 0..1"),
+    ([[0, 1], [1, "a"]], ValueError, "entry table[1][1] = a is out of range 0..1"),
+    ([[1, 0], [0, 1]], ValueError, "identity is element 1, not 0; renumber the elements so the identity has index 0"),
+    ([[1, 1], [1, 1]], ValueError, "no identity element: index 0 is not a two-sided identity"),
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], ValueError, "no inverse for element 1"),
+    ([[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 1, 1], [3, 1, 1, 1]], ValueError, "no inverse for element 2"),
+    (LOOP5_TABLE, ValueError, "associativity fails at (1,1,2): (1*1)*2 = 2 but 1*(1*2) = 4"),
+    # 1.0 == 1 passes every check before associativity, where it is used
+    # as an index
+    ([[0, 1.0], [1.0, 0]], TypeError, None),
+]
+
+
+@pytest.mark.parametrize("table, error, message", VALIDATE_CASES)
+def test_from_table_refusals_in_order_of_precedence(table, error, message):
+    with pytest.raises(error) as refused:
+        FiniteGroup.from_table("t", table)
+    assert refused.type is error
+    if message is not None:
+        assert str(refused.value) == message
+
+
 def test_load_group_round_trip():
     for g in CORPUS8:
         assert load_group(serialize_group(g)) == g

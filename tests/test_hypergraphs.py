@@ -207,6 +207,30 @@ def test_is_undirected_matches_the_brute_force_on_loaded_text(drawn):
     assert is_undirected(h) == oracles.brute_is_undirected(h.arcs)
 
 
+def test_is_undirected_counts_only_arcs_that_hold_their_vertex():
+    # two arcs and two pairs (w, e) with w in an edge e, but neither arc
+    # holds its vertex, so equal counts do not make it undirected
+    h = Dihypergraph(2, frozenset({(0, (1,)), (1, (0,))}))
+    assert not oracles.brute_is_undirected(h.arcs)
+    assert not is_undirected(h)
+
+
+def test_is_undirected_matches_the_brute_force_on_census_and_seeded_texts():
+    for g in CORPUS8:
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            assert is_undirected(h) == oracles.brute_is_undirected(h.arcs)
+    rng = random.Random(25)
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        lines = [f"dihypergraph {n}"]
+        for _ in range(rng.randint(0, 6)):
+            edge = rng.sample(range(n), rng.randint(1, n))
+            lines.append(f"arc {rng.randrange(n)} : {' '.join(map(str, edge))}")
+        h = load_dihypergraph("\n".join(lines))
+        assert is_undirected(h) == oracles.brute_is_undirected(h.arcs), lines
+
+
 def test_uniformity(fano_cd):
     assert uniformity(fano_cd) == 3
     z6 = make_cyclic(6)

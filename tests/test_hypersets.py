@@ -259,6 +259,41 @@ def test_aut_g_x_counts_only_the_preserving_automorphisms_against_the_cap():
     # 1 (tests/test_cli.py, test_analyze_refuses_group_automorphisms_over_cap)
 
 
+def test_aut_g_x_asks_the_chain_only_for_label_candidates(monkeypatch):
+    # an element's label, its order and the sorted sizes of the members
+    # holding it, is kept by every automorphism preserving x, so the
+    # chain asks for no image with a label other than the base point's
+    asked = []
+    chain = cdhg.groups._stabiliser_chain
+
+    def spied(n, base, first, *rest):
+        def spy(k, w):
+            asked.append((base[k], w))
+            return first(k, w)
+
+        return chain(n, base, spy, *rest)
+
+    monkeypatch.setattr(cdhg.groups, "_stabiliser_chain", spied)
+    d19 = make_dihedral(19)
+    z2 = make_cyclic(2)
+    z2_5 = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
+    flag = [[0, 1], [0, 1, 2], [0, 1, 2, 4], [0, 1, 2, 4, 8], [0, 1, 2, 4, 8, 16]]
+    for g, x, count in (
+        (d19, single_cayley_closure(d19, {0, 5}), 38),
+        (z2_5, validate_hyperset(z2_5, flag), 1),
+    ):
+        asked.clear()
+        assert len(aut_g_x(g, x)) == count
+
+        def label(a):
+            power, order = a, 1
+            while power:
+                power, order = g.mul(power, a), order + 1
+            return order, sorted(len(m) for m in x.members if a in m)
+
+        assert all(label(b) == label(w) for b, w in asked)
+
+
 def test_inn_g_x_abelian_is_trivial():
     z7 = make_cyclic(7)
     x = validate_hyperset(z7, FANO_MEMBERS)

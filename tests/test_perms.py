@@ -265,7 +265,7 @@ def test_stabiliser_chain_lists_the_identity_first():
             None,
         )
 
-    transversals, found = _stabiliser_chain(4, base, first)
+    transversals, found = _stabiliser_chain(4, base, first, [range(4)] * 3)
     assert [len(reps) for reps in transversals] == [4, 3, 2]
     for k, reps in enumerate(transversals):
         assert reps[0] == (0, 1, 2, 3)
