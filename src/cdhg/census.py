@@ -34,15 +34,19 @@ from .hypersets import (
 )
 from .hypergraphs import (
     Dihypergraph,
+    UndirectedHypergraph,
+    _connected,
+    _undirected,
     cd_construct,
     ch_construct,
-    is_connected,
-    is_undirected,
     underlying,
 )
 from .perms import (
+    PermGroup,
     Permutation,
-    _conjugacy_classes,
+    _conjugator,
+    _inverse,
+    _regular_search,
     aut_hypergraph,
     find_regular_subgroups,
     regular_to_cayley,
@@ -186,14 +190,22 @@ def _perm_image_arcs(perm: Permutation, arcs):
 def _heavy_layers(h: Dihypergraph):
     """Aut(h), or None when it is refused; the first generator of Aut(h)
     that moves an arc off the arc set, or None when every generator keeps
-    it; and one (T_0, order profile) pair per regular subgroup of
-    Aut(h), T_0 listing all of it, the profile None when its round trip
-    fails.  All of it depends on the arcs alone.
+    it; and one (T_0, orbit, order profile) entry per regular subgroup
+    perms._regular_search lists, the profile None when its round trip
+    fails, and the orbit's size its weight.  All of it depends on the
+    arcs alone.
 
     The generators are the maps the search for Aut(h)'s stabiliser chain
     found, whose products are all of Aut(h), and a product of
-    arc-preserving maps preserves the arcs: so when no generator breaks
-    an arc, no element does, and one recovery serves each class (perms._conjugacy_classes)."""
+    arc-preserving maps preserves the arcs.  So when no generator breaks
+    an arc, no element does, and every regular subgroup conjugate to a
+    listed one under Aut(h) shares its round trip.  For a in Aut(h) and R
+    regular in Aut(h), R^a is regular in Aut(h), and conjugation by a is
+    an isomorphism from R to R^a: their recovered groups share an order
+    profile.  Both preserve the arcs, so cd_construct of each recovery is
+    h (regular_to_cayley), and both read the same arcs at vertex 0: R^a's
+    round trip holds exactly when R's does.  When a generator breaks an
+    arc, every regular subgroup is listed, each with weight 1."""
     try:
         aut_h = aut_hypergraph(h)
     except CutoffExceeded:
@@ -202,20 +214,33 @@ def _heavy_layers(h: Dihypergraph):
     bad = next(
         (p for p in aut_h.generators if _perm_image_arcs(p, h.arcs) != arc_set), None
     )
-    found = find_regular_subgroups(aut_h, h.vertex_count)
-    t0s = [r.transversals[0] for r in found]
+    n = h.vertex_count
     if bad is None:
-        classes = _conjugacy_classes(t0s, aut_h.generators)
+        listed = _regular_search(aut_h, n)
     else:
-        classes = [[j] for j in range(len(t0s))]
-    profiles = {}
-    for cls in classes:
+        t0s = [r.transversals[0] for r in find_regular_subgroups(aut_h, n)]
+        listed = [(t0, {t0[1 % n]: t0[0]}) for t0 in t0s]
+    regs = []
+    for t0, orbit in listed:
         try:
-            profile = _order_profile(regular_to_cayley(h, found[cls[0]]).group)
+            profile = _order_profile(regular_to_cayley(h, PermGroup._regular(t0)).group)
         except ValueError:
             profile = None
-        profiles.update(dict.fromkeys(cls, profile))
-    return aut_h, bad, [(t0, profiles[j]) for j, t0 in enumerate(t0s)]
+        regs.append((t0, orbit, profile))
+    return aut_h, bad, regs
+
+
+def _listed_conjugate(regs, translations):
+    """The entry of regs (_heavy_layers) for R = G_R^(y^-1), where the
+    orbit holding G_R's slot-1 member maps it to the transporter y, so
+    R's slot-1 member is the orbit's first; None when R is not listed, as
+    when G_R does not lie in Aut(h).  For n = 1 the slot is 0."""
+    lead = translations[1 % len(translations)]
+    y = next((orbit[lead] for _, orbit, _ in regs if lead in orbit), None)
+    if y is None:
+        return None
+    r = tuple(sorted(map(_conjugator(_inverse(y)), translations)))
+    return next((entry for entry in regs if entry[0] == r), None)
 
 
 def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
@@ -227,26 +252,28 @@ def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
 
     closed_once = cayley_closure(g, x)
     closed = closed_once == x
-    idempotent = closed and cayley_closure(g, closed_once) == closed_once
-    yield "closure_idempotent", idempotent, "closure moved a closed hyperset"
+    idempotent = cayley_closure(g, closed_once) == closed_once
+    yield "closure_idempotent", idempotent, "closing twice differs from closing once"
 
+    edges = h.edges  # read once: each read rebuilds the set from the arcs
     generated = len(subgroup_generated(g, {s for m in x.members for s in m}))
-    connected = is_connected(h)
+    connected = _connected(h.vertex_count, edges)
     detail = f"connected={connected} generated_order={generated}"
     yield "connected_iff_generating", connected == (generated == g.order), detail
 
-    undirected = is_undirected(h)
+    undirected = _undirected(h.arcs, edges)
     yield "undirected_iff_closed", undirected == closed, f"undirected={undirected} closed={closed}"
 
     if all(is_subgroup(g, m) for m in x.members):
-        edges = sum(subgroup_index(g, m) for m in x.members)
-        detail = f"|E|={len(h.edges)} expected={edges}"
-        yield "subgroup_members", closed and len(h.edges) == edges, detail
+        expected = sum(subgroup_index(g, m) for m in x.members)
+        detail = f"|E|={len(edges)} expected={expected}"
+        yield "subgroup_members", closed and len(edges) == expected, detail
 
     classes = cayley_equivalence_classes(g, x)
     reps_low = non_cayley_equivalent_representatives(g, x)
     translate_family = ch_construct(g, reps_low)
-    good = underlying(h) == translate_family and (
+    underlying_h = UndirectedHypergraph(vertex_count=h.vertex_count, edges=edges)
+    good = underlying_h == translate_family and (
         underlying(cd_construct(g, cayley_closure(g, reps_low))) == translate_family
     )
     detail = "translate family disagrees with the underlying hypergraph"
@@ -280,13 +307,17 @@ def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
     yield "right_regular_in_aut", good, "a right translation is not an automorphism"
     yield "aut_preserves_arcs", bad is None, f"permutation {bad and bad.images} breaks an arc"
 
+    # G_R is the one member of its class exactly when it is normal in
+    # Aut(h); it is then listed as itself, and its round trip is the
+    # cayley_round_trip row's
+    report = verify_theorem2(g, x, aut=aut_h)
     translations = g_r.transversals[0]
-    good = any(t0 == translations for t0, _ in regs) and all(
-        p is not None for t0, p in regs if t0 != translations
+    exempt = translations if report.normalizer_order == aut_h.order else None
+    good = _listed_conjugate(regs, translations) is not None and all(
+        p is not None for t0, _, p in regs if t0 != exempt
     )
     yield "regular_subgroups", good, "right translations missing or a recovered instance disagrees"
 
-    report = verify_theorem2(g, x, aut=aut_h)
     detail = " ".join(f"{key}={getattr(report, name)}" for name, key in report.checks)
     yield "normalizer_factorization", report.all_pass, f"sub-checks: {detail}"
 
@@ -319,7 +350,6 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
         auts_g = group_automorphisms(g)
         inns_g = inner_automorphisms(g)
         g_r = right_regular(g)
-        translations = g_r.transversals[0]
         for x in census_hypersets(g, max_member_size):
             instance_count += 1
             tag = f"{g.name} X={list(x.members)}"
@@ -327,15 +357,21 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
             if h.arcs not in by_arcs:
                 by_arcs[h.arcs] = _heavy_layers(h)
             heavy = by_arcs[h.arcs]
-            for name, good, detail in _rows(g, x, h, g_r, auts_g, inns_g, heavy):
-                tallies[name].add(tag, good, detail)
+            good = {}
+            for name, ok, detail in _rows(g, x, h, g_r, auts_g, inns_g, heavy):
+                tallies[name].add(tag, ok, detail)
+                good[name] = ok
 
-            # the recovered profiles of the other regular subgroups; none
-            # when Aut(h) is refused
+            # every regular subgroup but G_R whose round trip holds, counted
+            # by the weights of those listed (none when Aut(h) is refused);
+            # G_R is among them when it lies in Aut(h) and its own round
+            # trip holds, as conjugates' round trips hold together
             _, _, regs = heavy
-            profiles = [p for t0, p in regs or () if t0 != translations and p is not None]
-            nontrivial_round_trips += len(profiles)
-            foreign = sorted(set(profiles) - {source_profile})
+            passing = [(len(orbit), p) for _, orbit, p in regs or () if p is not None]
+            nontrivial_round_trips += sum(w for w, _ in passing)
+            if good.get("right_regular_in_aut") and good["cayley_round_trip"]:
+                nontrivial_round_trips -= 1
+            foreign = sorted({p for _, p in passing} - {source_profile})
             if foreign:
                 foreign_presentations.append((tag, tuple("-".join(map(str, p)) for p in foreign)))
 

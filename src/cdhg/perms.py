@@ -188,45 +188,92 @@ def _cycle_step(k: int, x: tuple[int, ...], length: int) -> Optional[int]:
     return steps
 
 
-def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
-    """All order-n subgroups of p acting regularly on 0..n-1.
+def _conjugator(y: tuple[int, ...]):
+    """The map t -> y^-1 then t then y on image tuples: undo(t) is y^-1
+    then t, and the getter of its images, applied to y, composes y."""
+    if len(y) < 2:
+        return lambda t: t  # the identity is all there is
+    undo = itemgetter(*_inverse(y))
+    return lambda t: itemgetter(*undo(t))(y)
 
-    A regular subgroup holds exactly one permutation sending 0 to w for
-    each w, so the search fills those n slots, the smallest empty one
-    next; the filled slots hold a group H generated by the candidates
-    chosen on the path.  When slot w takes candidate c, H is closed by
-    left multiplication, old members by c only and new ones by every
+
+def _semiregular(x: tuple[int, ...]) -> bool:
+    """Every cycle of x has one length: _cycle_step passes at every level."""
+    length = 0
+    for k in range(len(x)):
+        length = _cycle_step(k, x, length)
+        if length is None:
+            return False
+    return True
+
+
+def _regular_search(p: PermGroup, n: int) -> list[tuple[tuple[tuple[int, ...], ...], dict]]:
+    """The order-n subgroups of p acting regularly on 0..n-1, up to
+    conjugacy by K, the group generated by p's generators that fix 0 and
+    1: one (T_0, orbit) pair per subgroup R whose slot-1 member, the one
+    sending 0 to 1, comes first in slot 1's candidate list among its
+    orbit under conjugation by K.  orbit maps each member c of that orbit to a transporter, a y in K
+    with first^y = c; it is shared by every R with that slot-1 member,
+    and its size is R's weight.  For a chain groups._stabiliser_chain
+    built, as aut_hypergraph's is, or one whose generators are its chain
+    maps, K is all of p's maps fixing 0 and 1; for other generators K
+    may be smaller, which lists more but counts the same.
+
+    The weights count exactly.  For x in K, x^-1 then c then x sends 0 to
+    1 when c does, so R -> R^x is a bijection, with inverse R -> R^(x^-1),
+    from the subgroups whose slot-1 member is c to those whose slot-1
+    member is c^x.  So each regular subgroup S, its slot-1 member c =
+    first^y with y = orbit[c], is R^y for exactly one listed R, and the
+    weights sum to the number of regular subgroups; every class of them
+    under conjugation by p meets the list.
+
+    A regular subgroup holds exactly one member sending 0 to w for each
+    w, so the search fills those n slots, the smallest empty one next;
+    the filled slots hold a group H generated by the candidates chosen
+    on the path.  When slot w takes candidate c, H is closed by left
+    multiplication, old members by c only and new ones by every
     generator.  The old members times the old generators lie in H, so
     this closure is <H, c>, and it fails (on a product that is not
     semiregular or lands in a slot holding another member) exactly when
     <H, c> is not regular.  Each subgroup is reached by one path, as
     each step gives the smallest empty slot its member: no repeats.
-
-    Only the identity and the semiregular members can sit in a slot, so
-    those are indexed once, in image order, and slots hold indices.
-    They are found by groups._chain_search with _cycle_step, which cuts
-    a partial product as soon as its cycles cannot share one length,
-    and perms is not listed on the group.  Each subgroup found is built
-    from its sorted members by PermGroup._regular.  Products are not
-    memoised: in S8 a table of them answered 31% of lookups and doubled
-    the search's peak memory without making it faster.
+    Slot w's candidates are the semiregular maps of p sending 0 to w,
+    listed on the slot's first visit by groups._chain_search with
+    _cycle_step down the chain below the map of T_0 sending 0 to w: a
+    group that a slot-1 member fills is not searched further, so in S7 a
+    7-cycle fills every slot and slots 2 to 6 are never listed.
     """
     if p.degree != n:
         raise ValueError(f"group acts on degree {p.degree}, expected {n}")
-    if n == 0:
-        # no group has order 0
+    if n == 0 or len(p.transversals[0]) < n:
+        # no group has order 0, and a regular subgroup needs p transitive
         return []
-    ims = sorted(_chain_search(p.transversals, _cycle_step, 0))
-    if not ims or ims[0] != tuple(range(n)):
-        raise ValueError("permutation group does not contain the identity")
-    index = {im: i for i, im in enumerate(ims)}
-    candidates: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, len(ims)):
-        candidates[ims[i][0]].append(i)
+    identity = p.transversals[0][0]
+    lists: dict[int, list[tuple[int, ...]]] = {}
 
-    results: list[tuple[int, ...]] = []
-    slots = [0] + [-1] * (n - 1)
-    members = [0]  # H's members, in the order their slots were filled
+    def candidates(w: int) -> list[tuple[int, ...]]:
+        if w not in lists:
+            lists[w] = _chain_search(((p.transversals[0][w],), *p.transversals[1:]), _cycle_step, 0)
+        return lists[w]
+
+    fixers = [(_conjugator(y), y) for y in (g.images for g in p.generators) if y[:2] == (0, 1)]
+    firsts: list[tuple[tuple[int, ...], dict]] = []
+    seen: set[tuple[int, ...]] = set()
+    for c in candidates(1) if n > 1 else ():
+        if c not in seen:
+            orbit, queue = {c: identity}, [c]
+            for d in queue:
+                for conjugate, y in fixers:
+                    e = conjugate(d)
+                    if e not in orbit:
+                        orbit[e] = itemgetter(*orbit[d])(y)  # orbit[d] then y
+                        queue.append(e)
+            seen.update(orbit)
+            firsts.append((c, orbit))
+
+    out: list[tuple[tuple[tuple[int, ...], ...], dict]] = []
+    slots: list[Optional[tuple[int, ...]]] = [identity] + [None] * (n - 1)
+    members = [identity]  # H's members, in the order their slots were filled
 
     def closes(size: int, gens: list[itemgetter]) -> bool:
         """Close members under left multiplication by gens (gens[j](o) is
@@ -235,77 +282,48 @@ def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
         i = 1  # the identity times c is c
         while i < len(members):
             for g in gens if i >= size else gens[-1:]:
-                im = g(ims[members[i]])
-                prod, cur = index.get(im), slots[im[0]]
-                if prod is None or cur not in (-1, prod):
+                im = g(members[i])
+                cur = slots[im[0]]
+                if cur is None and _semiregular(im):
+                    slots[im[0]] = im
+                    members.append(im)
+                elif cur != im:
                     return False
-                if cur < 0:
-                    slots[im[0]] = prod
-                    members.append(prod)
             i += 1
         return True
 
-    def descend(gens: list[itemgetter]) -> None:
-        w = next((i for i in range(n) if slots[i] < 0), None)
+    def descend(gens: list[itemgetter], orbit: dict) -> None:
+        w = next((i for i in range(n) if slots[i] is None), None)
         if w is None:
-            results.append(tuple(sorted(members)))
+            out.append((tuple(sorted(members)), orbit))
             return
         size = len(members)
-        for cand in candidates[w]:
+        for cand, below in firsts if w == 1 else [(c, orbit) for c in candidates(w)]:
             slots[w] = cand
             members.append(cand)
-            grown = [*gens, itemgetter(*ims[cand])]  # n >= 2: a tuple getter
+            grown = [*gens, itemgetter(*cand)]  # n >= 2: a tuple getter
             if closes(size, grown):
-                descend(grown)
+                descend(grown, below)
             while len(members) > size:
-                slots[ims[members.pop()][0]] = -1
+                slots[members.pop()[0]] = None
 
-    descend([])
-    # indices follow image order, so sorted index tuples sort the
-    # subgroups as their sorted image lists would
-    return [PermGroup._regular(tuple(map(ims.__getitem__, r))) for r in sorted(results)]
+    descend([], {identity: identity})
+    return out
 
 
-def _conjugacy_classes(t0s: list, generators: Iterable[Permutation]) -> list[list[int]]:
-    """The listed regular subgroups' classes (sorted index lists, by first
-    index) under conjugation by the generators' group; RuntimeError when
-    a conjugate is not listed.  Breadth first, R_j^a is the one subgroup
-    holding the conjugates a^-1 then t then a of R_j's members t but the
-    identity, made only until they leave one candidate.
-
-    So one recovery serves a class, when the group is Aut(h) (whose
-    every generator must then preserve the arcs).  For a in Aut(h) and R
-    regular in Aut(h), R^a is regular in Aut(h), and conjugation by a is
-    an isomorphism from R to R^a: their recovered groups share an order
-    profile.  Both preserve the arcs, so cd_construct of each recovery
-    is h (regular_to_cayley), and both read the same arcs at vertex 0:
-    R^a's round trip holds exactly when R's does."""
-    holders: dict[tuple[int, ...], set[int]] = {}
-    for j, t0 in enumerate(t0s):
-        for t in t0[1:]:
-            holders.setdefault(t, set()).add(j)
-    conjugators = [(itemgetter(*_inverse(a.images)), a.images) for a in generators]
-    classes, seen = [], set()
-    for start in range(len(t0s)):
-        if start in seen:
-            continue
-        members = [start]
-        seen.add(start)
-        for j in members:
-            for undo, a in conjugators:
-                left = None  # stays None for the trivial group, its own conjugate
-                for t in t0s[j][1:]:
-                    held = holders.get(itemgetter(*undo(t))(a), set())
-                    left = held if left is None else left & held
-                    if len(left) < 2:
-                        break
-                if left is not None and len(left) != 1:
-                    raise RuntimeError("a conjugate of a regular subgroup is not listed once")
-                if left and not left <= seen:
-                    seen |= left
-                    members.extend(left)
-        classes.append(sorted(members))
-    return classes
+def find_regular_subgroups(p: PermGroup, n: int) -> list[PermGroup]:
+    """All order-n subgroups of p acting regularly on 0..n-1, in order of
+    their sorted image lists: each subgroup _regular_search lists,
+    conjugated by every transporter of its slot-1 member's orbit, which
+    gives each regular subgroup once, built from its sorted members by
+    PermGroup._regular.  perms is not listed on p.  Products are not
+    memoised: in S8 a table of them answered 31% of lookups and doubled
+    the search's peak memory without making it faster."""
+    found = []
+    for t0, orbit in _regular_search(p, n):
+        for y in orbit.values():
+            found.append(tuple(sorted(map(_conjugator(y), t0))))
+    return [PermGroup._regular(t0) for t0 in sorted(found)]
 
 
 class CayleyRecovery(SimpleNamespace):

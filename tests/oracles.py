@@ -310,6 +310,28 @@ def brute_conjugacy_classes(group, subgroups):
     return classes
 
 
+def generator_conjugacy_classes(generators, subgroups):
+    """The classes of the subgroups (collections of image tuples) under
+    conjugation by the group the generators generate, breadth first, s ->
+    a^-1 s a member by member for each generator a; each a sorted list of
+    indices, in order of first index.  Every conjugate must be listed."""
+    index = {frozenset(s): i for i, s in enumerate(subgroups)}
+    pairs = [(_inverse(a), a) for a in generators]
+    classes, seen = [], set()
+    for i in range(len(subgroups)):
+        if i not in seen:
+            cls = [i]
+            seen.add(i)
+            for j in cls:
+                for ai, a in pairs:
+                    k = index[frozenset(_compose(_compose(ai, t), a) for t in subgroups[j])]
+                    if k not in seen:
+                        seen.add(k)
+                        cls.append(k)
+            classes.append(sorted(cls))
+    return classes
+
+
 def brute_normalizer(big, small):
     """Elements x of big with x^-1 s x in small for every s in small, by
     full scan.  big, small: iterables of image tuples forming groups."""

@@ -96,7 +96,7 @@ def test_run_census_foreign_presentations_order_7():
 def test_run_census_searches_each_arc_set_once(monkeypatch):
     import cdhg.census
 
-    calls = {"aut_hypergraph": 0, "find_regular_subgroups": 0}
+    calls = {"aut_hypergraph": 0, "_regular_search": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cdhg.census, name), **kwargs):
             calls[_name] += 1
@@ -106,7 +106,7 @@ def test_run_census_searches_each_arc_set_once(monkeypatch):
     result = run_census(max_order=7, max_member_size=3)
     # 61 instances over 44 distinct arc sets: one search of each per arc set
     assert result.instance_count == 61
-    assert calls == {"aut_hypergraph": 44, "find_regular_subgroups": 44}
+    assert calls == {"aut_hypergraph": 44, "_regular_search": 44}
     text = result.render()
     assert "nontrivial_regular_round_trips: 497\n" in text
     assert text.endswith("result: PASS\n")
@@ -133,10 +133,11 @@ def test_run_census_reads_aut_g_x_once_per_instance(monkeypatch):
     assert result.render().endswith("result: PASS\n")
 
 
-def test_run_census_recovers_one_regular_subgroup_per_class(monkeypatch):
+def test_run_census_recovers_each_listed_regular_subgroup_once(monkeypatch):
     # the 61 translations' round trips, and one recovery for each of the
-    # 66 Aut(h)-classes of the 340 regular subgroups of the 44 distinct
-    # arc sets, not one per subgroup
+    # 101 subgroups the search lists up to conjugacy by the maps fixing 0
+    # and 1 on the 44 distinct arc sets, not one for each of the 340
+    # regular subgroups
     import cdhg.census
 
     calls = []
@@ -148,7 +149,7 @@ def test_run_census_recovers_one_regular_subgroup_per_class(monkeypatch):
 
     monkeypatch.setattr(cdhg.census, "regular_to_cayley", counted)
     assert run_census(max_order=7, max_member_size=3).render().endswith("result: PASS\n")
-    assert (len(calls), len(set(calls))) == (127, 44)
+    assert (len(calls), len(set(calls))) == (162, 44)
 
 
 def test_run_census_tallies_a_failed_recovery(monkeypatch):
@@ -298,6 +299,54 @@ def test_full_census_hash(full_census):
 
 def test_census_hash_at_order_ten():
     assert census_hash(run_census(max_order=10, max_member_size=3)) == "3ee3695061425a99"
+
+
+def test_census_hash_at_order_ten_with_one_member():
+    assert census_hash(run_census(max_order=10, max_member_size=1)) == "b6d3db9775aa50bd"
+
+
+def test_rows_on_a_directed_hyperset():
+    # Z5 X = {(0,1)} is not closed, so CD(Z5, X) is directed; closing it
+    # twice still equals closing it once, and every row passes
+    from cdhg.census import _heavy_layers, _rows
+    from cdhg.groups import group_automorphisms, inner_automorphisms
+    from cdhg.perms import right_regular
+
+    g = make_cyclic(5)
+    x = validate_hyperset(g, [[0, 1]])
+    assert not is_cayley_closed(g, x)
+    h = cd_construct(g, x)
+    rows = {
+        name: good
+        for name, good, _ in _rows(
+            g, x, h, right_regular(g), group_automorphisms(g), inner_automorphisms(g),
+            _heavy_layers(h),
+        )
+    }
+    assert rows["closure_idempotent"] is True
+    assert rows["undirected_iff_closed"] is True
+    assert all(good is True for good in rows.values()), rows
+
+
+def test_rows_read_the_instance_edges_once(monkeypatch):
+    # Dihypergraph.edges makes the edges from the arcs on every read; the
+    # rows read h's once, subgroup_members and the underlying check too
+    from cdhg import Dihypergraph
+    from cdhg.census import _heavy_layers, _rows
+    from cdhg.groups import group_automorphisms, inner_automorphisms
+    from cdhg.perms import right_regular
+
+    g = make_cyclic(4)
+    x = validate_hyperset(g, [[0, 2]])
+    h = cd_construct(g, x)
+    heavy = _heavy_layers(h)
+    reads = []
+    edges = Dihypergraph.edges
+    monkeypatch.setattr(Dihypergraph, "edges", property(lambda d: reads.append(d) or edges.fget(d)))
+    rows = list(_rows(g, x, h, right_regular(g), group_automorphisms(g), inner_automorphisms(g), heavy))
+    assert "subgroup_members" in {name for name, _, _ in rows}
+    assert all(good for _, good, _ in rows)
+    assert sum(d is h for d in reads) == 1
 
 
 def test_run_census_refuses_aut_over_order_cap():

@@ -554,25 +554,30 @@ def test_normalizer_on_a_chain_prunes_the_point_stabiliser(monkeypatch):
 
 
 def test_regular_search_keeps_the_semiregular_products_of_the_chain(monkeypatch):
-    # the search down S8's chain keeps exactly the products of the chain
-    # that the powers oracle finds semiregular
+    # the search down S8's chain lists each slot w at most once, as
+    # exactly the products of the chain sending 0 to w that the powers
+    # oracle finds semiregular
     import cdhg.perms
     from cdhg.groups import _chain_products
 
     _, aut = z8_loops_aut()
-    kept = []
+    kept = {}
     search = cdhg.perms._chain_search
 
     def recorded(transversals, step, state):
         found = search(transversals, step, state)
-        kept.extend(found)
+        w = transversals[0][0][0]
+        assert w not in kept
+        kept[w] = found
         return found
 
     monkeypatch.setattr(cdhg.perms, "_chain_search", recorded)
     regs = find_regular_subgroups(aut, 8)
     reference = sorted(filter(oracles.is_semiregular, _chain_products(aut.transversals, 8)))
     assert len(reference) == 6406
-    assert sorted(kept) == reference
+    assert 1 in kept
+    for w, found in kept.items():
+        assert sorted(found) == [x for x in reference if x[0] == w]
     assert len(regs) == 2760
 
 
@@ -671,48 +676,88 @@ def test_regular_subgroups_make_their_generators_on_first_read():
         assert "generators" in vars(r)
 
 
+def listed_weights(aut, n):
+    """T_0 -> weight of each regular subgroup perms._regular_search lists."""
+    listed = perms._regular_search(aut, n)
+    weights = {t0: len(orbit) for t0, orbit in listed}
+    assert len(weights) == len(listed)
+    return weights
+
+
 def test_regular_classes_partition_by_the_normalizer_index():
-    # on each census arc set to order 10 the classes partition the list,
-    # first members in list order, and a class has |Aut(h) : N(R)|
-    # members, N(R) of its first member R from normalizer, a chain
-    # search that shares no code with the classes
+    # on each census arc set to order 10 every Aut(h)-class of the
+    # regular subgroups meets the list the search makes up to conjugacy
+    # by the maps fixing 0 and 1, and the listed members of a class have
+    # weights summing to |Aut(h) : N(R)|, N(R) of its first member R
+    # from normalizer, a chain search that shares no code with the
+    # weights; the classes come from the oracle, by Aut(h)'s generators
     sizes = []
-    for _, aut, regs in census_10_regulars():
-        classes = perms._conjugacy_classes([r.transversals[0] for r in regs], aut.generators)
+    for h, aut, regs in census_10_regulars():
+        t0s = [r.transversals[0] for r in regs]
+        weights = listed_weights(aut, h.vertex_count)
+        classes = oracles.generator_conjugacy_classes([p.images for p in aut.generators], t0s)
         assert sorted(j for c in classes for j in c) == list(range(len(regs)))
-        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
         for c in classes:
-            assert len(c) * normalizer(aut, regs[c[0]]).order == aut.order
+            listed = [weights[t0s[j]] for j in c if t0s[j] in weights]
+            assert listed
+            assert sum(listed) * normalizer(aut, regs[c[0]]).order == aut.order
+        assert sum(weights.values()) == len(regs)
         sizes.extend(map(len, classes))
     assert (len(sizes), max(sizes)) == (358, 1260)
 
 
 def test_regular_classes_match_the_brute_force_conjugates():
-    # every census arc set to order 10 with |Aut(h)| <= 48: conjugating
-    # every subgroup by every element of Aut(h) gives the same classes
+    # every census arc set to order 10 with |Aut(h)| <= 48: each class
+    # made by conjugating every subgroup by every element of Aut(h) meets
+    # the list, and its listed members' weights sum to its size
     checked = 0
     for h, aut, regs in census_10_regulars():
         if aut.order <= 48:
             t0s = [r.transversals[0] for r in regs]
+            weights = listed_weights(aut, h.vertex_count)
             elements = [p.images for p in aut.perms]
-            assert perms._conjugacy_classes(t0s, aut.generators) == (
-                oracles.brute_conjugacy_classes(elements, t0s)
-            )
+            for c in oracles.brute_conjugacy_classes(elements, t0s):
+                assert sum(weights.get(t0s[j], 0) for j in c) == len(c)
             checked += 1
     assert checked == 83
 
 
 def test_regular_classes_refuse_a_conjugate_that_is_not_listed():
-    # S4 holds the normal Klein group, listed first, and three cyclic
-    # regular subgroups in one class; with one of those left out, the
-    # class is not closed
-    regs = [r.transversals[0] for r in regular_in_symmetric(4)]
-    assert [len(c) for c in perms._conjugacy_classes(regs, symmetric(4).generators)] == [1, 3]
-    # a cyclic one has a member whose square moves 0, the Klein group none
-    cyclic = [j for j, t0 in enumerate(regs) if any(t[t[0]] for t in t0)]
-    del regs[cyclic[0]]
-    with pytest.raises(RuntimeError, match="not listed once"):
-        perms._conjugacy_classes(regs, symmetric(4).generators)
+    # on the Z4 loops (Aut S4) the census's regular_subgroups row finds
+    # the translations' listed conjugate, and fails once it is dropped
+    from cdhg.census import _heavy_layers, _listed_conjugate, _rows
+    from cdhg.groups import group_automorphisms, inner_automorphisms
+
+    z4 = make_cyclic(4)
+    x = validate_hyperset(z4, [[0]])
+    h = cd_construct(z4, x)
+    g_r = right_regular(z4)
+    aut_h, bad, regs = _heavy_layers(h)
+    assert sum(len(orbit) for _, orbit, _ in regs) == 4 > len(regs)
+
+    def row(regs):
+        rows = _rows(z4, x, h, g_r, group_automorphisms(z4), inner_automorphisms(z4), (aut_h, bad, regs))
+        return next(good for name, good, _ in rows if name == "regular_subgroups")
+
+    own = _listed_conjugate(regs, g_r.transversals[0])
+    assert own is not None
+    assert row(regs) is True
+    assert row([entry for entry in regs if entry is not own]) is False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_regular_weights_count_the_symmetric_group_on_the_loops(n):
+    # Aut of the Z_n loops is S_n, whose regular subgroups number the sum
+    # over the groups G of order n of (n-1)!/|Aut(G)|: 2,760 for S8 (see
+    # test_find_regular_subgroups_in_symmetric_group); both the weights
+    # and the expanded list count them
+    aut_orders = {1: [1], 2: [1], 3: [2], 4: [2, 6], 5: [4], 6: [2, 6], 7: [6], 8: [4, 8, 168, 8, 24]}
+    expected = sum(math.factorial(n - 1) // a for a in aut_orders[n])
+    zn = make_cyclic(n)
+    aut = aut_hypergraph(cd_construct(zn, validate_hyperset(zn, [[0]])))
+    assert aut.order == math.factorial(n)
+    assert sum(listed_weights(aut, n).values()) == expected
+    assert len(find_regular_subgroups(aut, n)) == expected
 
 
 def test_normalizer_is_normalized_by_sympy_on_census_arc_sets():
