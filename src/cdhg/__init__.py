@@ -55,10 +55,12 @@ from .hypergraphs import (
     uniformity,
 )
 from .perms import (
+    CayleyPresentations,
     CayleyRecovery,
     PermGroup,
     Theorem2Report,
     aut_hypergraph,
+    cayley_presentations,
     find_regular_subgroups,
     is_regular,
     normalizer,
@@ -84,6 +86,7 @@ __all__ = [
     "AUT_VERTEX_CUTOFF",
     "AnalysisReport",
     "CayleyHyperset",
+    "CayleyPresentations",
     "CayleyRecovery",
     "CensusResult",
     "CutoffExceeded",
@@ -99,6 +102,7 @@ __all__ = [
     "build_analysis_report",
     "cayley_closure",
     "cayley_equivalence_classes",
+    "cayley_presentations",
     "cd_construct",
     "census_corpus",
     "census_hypersets",

@@ -12,7 +12,6 @@ import itertools
 from types import SimpleNamespace
 
 from .groups import (
-    CutoffExceeded,
     FiniteGroup,
     direct_product,
     element_order,
@@ -32,27 +31,8 @@ from .hypersets import (
     non_cayley_equivalent_representatives,
     single_cayley_closure,
 )
-from .hypergraphs import (
-    Dihypergraph,
-    UndirectedHypergraph,
-    _connected,
-    _undirected,
-    cd_construct,
-    ch_construct,
-    underlying,
-)
-from .perms import (
-    PermGroup,
-    Permutation,
-    _conjugator,
-    _inverse,
-    _regular_search,
-    aut_hypergraph,
-    find_regular_subgroups,
-    regular_to_cayley,
-    right_regular,
-    verify_theorem2,
-)
+from .hypergraphs import cd_construct, ch_construct, is_connected, is_undirected, underlying
+from .perms import cayley_presentations, regular_to_cayley, right_regular, verify_theorem2
 
 __all__ = [
     "CENSUS_MAX_ORDER_CAP",
@@ -182,71 +162,11 @@ def _order_profile(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(element_order(g, a) for a in g.elements()))
 
 
-def _perm_image_arcs(perm: Permutation, arcs):
-    im = perm.images
-    return {(im[v], tuple(sorted(im[u] for u in e))) for v, e in arcs}
-
-
-def _heavy_layers(h: Dihypergraph):
-    """Aut(h), or None when it is refused; the first generator of Aut(h)
-    that moves an arc off the arc set, or None when every generator keeps
-    it; and one (T_0, orbit, order profile) entry per regular subgroup
-    perms._regular_search lists, the profile None when its round trip
-    fails, and the orbit's size its weight.  All of it depends on the
-    arcs alone.
-
-    The generators are the maps the search for Aut(h)'s stabiliser chain
-    found, whose products are all of Aut(h), and a product of
-    arc-preserving maps preserves the arcs.  So when no generator breaks
-    an arc, no element does, and every regular subgroup conjugate to a
-    listed one under Aut(h) shares its round trip.  For a in Aut(h) and R
-    regular in Aut(h), R^a is regular in Aut(h), and conjugation by a is
-    an isomorphism from R to R^a: their recovered groups share an order
-    profile.  Both preserve the arcs, so cd_construct of each recovery is
-    h (regular_to_cayley), and both read the same arcs at vertex 0: R^a's
-    round trip holds exactly when R's does.  When a generator breaks an
-    arc, every regular subgroup is listed, each with weight 1."""
-    try:
-        aut_h = aut_hypergraph(h)
-    except CutoffExceeded:
-        return None, None, None
-    arc_set = set(h.arcs)
-    bad = next(
-        (p for p in aut_h.generators if _perm_image_arcs(p, h.arcs) != arc_set), None
-    )
-    n = h.vertex_count
-    if bad is None:
-        listed = _regular_search(aut_h, n)
-    else:
-        t0s = [r.transversals[0] for r in find_regular_subgroups(aut_h, n)]
-        listed = [(t0, {t0[1 % n]: t0[0]}) for t0 in t0s]
-    regs = []
-    for t0, orbit in listed:
-        try:
-            profile = _order_profile(regular_to_cayley(h, PermGroup._regular(t0)).group)
-        except ValueError:
-            profile = None
-        regs.append((t0, orbit, profile))
-    return aut_h, bad, regs
-
-
-def _listed_conjugate(regs, translations):
-    """The entry of regs (_heavy_layers) for R = G_R^(y^-1), where the
-    orbit holding G_R's slot-1 member maps it to the transporter y, so
-    R's slot-1 member is the orbit's first; None when R is not listed, as
-    when G_R does not lie in Aut(h).  For n = 1 the slot is 0."""
-    lead = translations[1 % len(translations)]
-    y = next((orbit[lead] for _, orbit, _ in regs if lead in orbit), None)
-    if y is None:
-        return None
-    r = tuple(sorted(map(_conjugator(_inverse(y)), translations)))
-    return next((entry for entry in regs if entry[0] == r), None)
-
-
-def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
+def _rows(g, x, h, g_r, auts_g, inns_g, found):
     """One (check, good, detail) row per check that applies to the
-    instance (g, x), with h = CD(g, x), g_r = R(g) and heavy =
-    _heavy_layers(h); good is None for a skip whose reason is detail."""
+    instance (g, x), with h = CD(g, x), g_r = R(g) and found =
+    cayley_presentations(h); good is None for a skip whose reason is
+    detail."""
     arcs, expected_arcs = len(h.arcs), g.order * len(x.members)
     yield "arc_count", arcs == expected_arcs, f"|D|={arcs} vs |G||X|={expected_arcs}"
 
@@ -255,25 +175,23 @@ def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
     idempotent = cayley_closure(g, closed_once) == closed_once
     yield "closure_idempotent", idempotent, "closing twice differs from closing once"
 
-    edges = h.edges  # read once: each read rebuilds the set from the arcs
     generated = len(subgroup_generated(g, {s for m in x.members for s in m}))
-    connected = _connected(h.vertex_count, edges)
+    connected = is_connected(h)
     detail = f"connected={connected} generated_order={generated}"
     yield "connected_iff_generating", connected == (generated == g.order), detail
 
-    undirected = _undirected(h.arcs, edges)
+    undirected = is_undirected(h)
     yield "undirected_iff_closed", undirected == closed, f"undirected={undirected} closed={closed}"
 
     if all(is_subgroup(g, m) for m in x.members):
         expected = sum(subgroup_index(g, m) for m in x.members)
-        detail = f"|E|={len(edges)} expected={expected}"
-        yield "subgroup_members", closed and len(edges) == expected, detail
+        detail = f"|E|={len(h.edges)} expected={expected}"
+        yield "subgroup_members", closed and len(h.edges) == expected, detail
 
     classes = cayley_equivalence_classes(g, x)
     reps_low = non_cayley_equivalent_representatives(g, x)
     translate_family = ch_construct(g, reps_low)
-    underlying_h = UndirectedHypergraph(vertex_count=h.vertex_count, edges=edges)
-    good = underlying_h == translate_family and (
+    good = underlying(h) == translate_family and (
         underlying(cd_construct(g, cayley_closure(g, reps_low))) == translate_family
     )
     detail = "translate family disagrees with the underlying hypergraph"
@@ -293,7 +211,7 @@ def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
         good, detail = False, str(exc)
     yield "cayley_round_trip", good, detail
 
-    aut_h, bad, regs = heavy
+    aut_h, bad = found.aut, found.broken
     if aut_h is None:
         # every check from right_regular_in_aut on needs Aut(h) but the
         # round trip, which reads the translations alone
@@ -311,10 +229,9 @@ def _rows(g, x, h, g_r, auts_g, inns_g, heavy):
     # Aut(h); it is then listed as itself, and its round trip is the
     # cayley_round_trip row's
     report = verify_theorem2(g, x, aut=aut_h)
-    translations = g_r.transversals[0]
-    exempt = translations if report.normalizer_order == aut_h.order else None
-    good = _listed_conjugate(regs, translations) is not None and all(
-        p is not None for t0, _, p in regs if t0 != exempt
+    exempt = g_r.transversals[0] if report.normalizer_order == aut_h.order else None
+    good = found.entry_for(g_r) is not None and all(
+        rec is not None for t0, _, rec in found.listed if t0 != exempt
     )
     yield "regular_subgroups", good, "right translations missing or a recovered instance disagrees"
 
@@ -342,7 +259,8 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
     foreign_presentations = []
     # Aut(h), its arc check and its regular subgroups depend on the arcs
     # alone, and groups of one order can give the same arcs: each arc set
-    # is searched and checked once
+    # is searched and checked once, with the weight and order profile of
+    # each listed regular subgroup whose round trip holds
     by_arcs: dict[frozenset, tuple] = {}
 
     for g in groups:
@@ -355,10 +273,15 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
             tag = f"{g.name} X={list(x.members)}"
             h = cd_construct(g, x)
             if h.arcs not in by_arcs:
-                by_arcs[h.arcs] = _heavy_layers(h)
-            heavy = by_arcs[h.arcs]
+                found = cayley_presentations(h)
+                by_arcs[h.arcs] = found, [
+                    (len(orbit), _order_profile(rec.group))
+                    for _, orbit, rec in found.listed
+                    if rec is not None
+                ]
+            found, passing = by_arcs[h.arcs]
             good = {}
-            for name, ok, detail in _rows(g, x, h, g_r, auts_g, inns_g, heavy):
+            for name, ok, detail in _rows(g, x, h, g_r, auts_g, inns_g, found):
                 tallies[name].add(tag, ok, detail)
                 good[name] = ok
 
@@ -366,8 +289,6 @@ def run_census(max_order: int = 8, max_member_size: int = 3) -> CensusResult:
             # by the weights of those listed (none when Aut(h) is refused);
             # G_R is among them when it lies in Aut(h) and its own round
             # trip holds, as conjugates' round trips hold together
-            _, _, regs = heavy
-            passing = [(len(orbit), p) for _, orbit, p in regs or () if p is not None]
             nontrivial_round_trips += sum(w for w, _ in passing)
             if good.get("right_regular_in_aut") and good["cayley_round_trip"]:
                 nontrivial_round_trips -= 1

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .groups import CutoffExceeded, FiniteGroup, load_group
 from .hypersets import CayleyHyperset, aut_g_x, is_cayley_closed, load_hyperset
-from .hypergraphs import _connected, _undirected, _uniformity, cd_construct, dump_dihypergraph
+from .hypergraphs import cd_construct, dump_dihypergraph, is_connected, is_undirected, uniformity
 from .perms import Theorem2Report, aut_hypergraph, verify_theorem2
 from .census import run_census
 
@@ -28,19 +28,17 @@ def build_analysis_report(
     g: FiniteGroup, x: CayleyHyperset, with_aut: bool = True
 ) -> AnalysisReport:
     h = cd_construct(g, x)
-    # the edges are made from the arcs on each read, so read them once
-    edges = h.edges
-    u = _uniformity(edges)
+    u = uniformity(h)
     entries: list[tuple[str, str]] = [
         ("group", g.name),
         ("order", str(g.order)),
         ("members", str(len(x.members))),
         ("cayley_closed", "true" if is_cayley_closed(g, x) else "false"),
-        ("connected", "true" if _connected(h.vertex_count, edges) else "false"),
-        ("undirected", "true" if _undirected(h.arcs, edges) else "false"),
+        ("connected", "true" if is_connected(h) else "false"),
+        ("undirected", "true" if is_undirected(h) else "false"),
         ("uniformity", str(u) if u is not None else "none"),
         ("arcs", str(len(h.arcs))),
-        ("edges", str(len(edges))),
+        ("edges", str(len(h.edges))),
     ]
     aut_h = aut_g_x_order = report = None
     reason = "--no-aut"

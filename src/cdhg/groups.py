@@ -47,8 +47,10 @@ class _Value:
     each field by object.__setattr__, and _key, an operator.attrgetter
     of the fields that take part in equality.  Instances are immutable;
     == holds only between instances of one class with equal keys, and
-    the hash is that of the key, a tuple; repr lists every slot by
-    keyword, in slot order.  These are written out rather than made by
+    the hash is that of the key, a tuple; repr lists every public slot
+    by keyword, in slot order.  A private slot, one whose name starts
+    with an underscore, holds a cache derived from the fields and is
+    left out of all three.  These are written out rather than made by
     dataclasses, which would load inspect and ast and build the methods
     by exec on every import.
     """
@@ -70,7 +72,9 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__name__}({fields})"
 
 
@@ -395,9 +399,6 @@ class Permutation(_Value):
         """Apply self first, then other."""
         o = other.images
         return Permutation(tuple(o[v] for v in self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
 
 
 def _close_partial_map(

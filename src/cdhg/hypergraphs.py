@@ -2,8 +2,8 @@
 
 A dihypergraph is a vertex count plus a set of arcs (vertex, edge), where
 an edge is a sorted tuple of vertex indices.  The edge set is derived from
-the arcs, so repeated edges collapse: two arcs entering the same subset
-share one edge.
+the arcs on its first read and kept, so repeated edges collapse: two arcs
+entering the same subset share one edge.
 """
 
 from __future__ import annotations
@@ -42,16 +42,21 @@ class Dihypergraph(_Value):
     """A vertex count and its arcs (vertex, edge), equal and hashed by
     both fields."""
 
-    __slots__ = ("vertex_count", "arcs")
+    __slots__ = ("vertex_count", "arcs", "_edges")
     _key = attrgetter("vertex_count", "arcs")
 
     def __init__(self, vertex_count: int, arcs: frozenset[Arc]):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "_edges", None)
 
     @property
     def edges(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(e for _, e in self.arcs)
+        """The distinct edges of the arcs, made on the first read and
+        kept in _edges for every later one."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(e for _, e in self.arcs))
+        return self._edges
 
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
@@ -132,15 +137,11 @@ def underlying(h: Dihypergraph) -> UndirectedHypergraph:
 
 def is_connected(h: Dihypergraph) -> bool:
     """Connectivity of the bipartite incidence structure on vertices and
-    edges; vertices lying in no edge are isolated."""
-    return _connected(h.vertex_count, h.edges)
-
-
-def _connected(n: int, edges: frozenset[tuple[int, ...]]) -> bool:
-    """is_connected on h's vertex count and edges.  Joining n vertices
+    edges; vertices lying in no edge are isolated.  Joining n vertices
     takes n - 1 merges and an edge e makes at most |e| - 1, so edges
     too small to make them give False before any list over the vertices
     is made."""
+    n, edges = h.vertex_count, h.edges
     if n - 1 > sum(map(len, edges)) - len(edges):
         return False
     parent = list(range(n))
@@ -162,17 +163,14 @@ def _connected(n: int, edges: frozenset[tuple[int, ...]]) -> bool:
 
 
 def is_undirected(h: Dihypergraph) -> bool:
-    """Every edge is entered from each of its vertices."""
-    return _undirected(h.arcs, h.edges)
-
-
-def _undirected(arcs: frozenset[Arc], edges: frozenset[tuple[int, ...]]) -> bool:
-    """is_undirected on h's arcs and edges.  The pairs (w, e) with e an
-    edge and w in e number sum |e|, since an edge lists distinct
-    vertices.  When every arc holds its own vertex, as every arc
-    cd_construct makes does, the arcs are among those pairs, so they are
-    all of them exactly when the counts agree.  Otherwise each distinct
-    edge is tested once, rather than once per arc entering it."""
+    """Every edge is entered from each of its vertices.  The pairs
+    (w, e) with e an edge and w in e number sum |e|, since an edge lists
+    distinct vertices.  When every arc holds its own vertex, as every
+    arc cd_construct makes does, the arcs are among those pairs, so they
+    are all of them exactly when the counts agree.  Otherwise each
+    distinct edge is tested once, rather than once per arc entering
+    it."""
+    arcs, edges = h.arcs, h.edges
     if all(v in e for v, e in arcs):
         return len(arcs) == sum(map(len, edges))
     return all((w, e) in arcs for e in edges for w in e)
@@ -180,11 +178,7 @@ def _undirected(arcs: frozenset[Arc], edges: frozenset[tuple[int, ...]]) -> bool
 
 def uniformity(h: Dihypergraph) -> Optional[int]:
     """The common edge size, or None if edges are absent or of mixed size."""
-    return _uniformity(h.edges)
-
-
-def _uniformity(edges: frozenset[tuple[int, ...]]) -> Optional[int]:
-    sizes = set(map(len, edges))
+    sizes = set(map(len, h.edges))
     if len(sizes) == 1:
         return sizes.pop()
     return None

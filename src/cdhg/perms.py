@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .groups import (
+    CutoffExceeded,
     FiniteGroup,
     Permutation,
     _chain_of_elements,
@@ -27,6 +28,7 @@ from .hypergraphs import Dihypergraph, _completion_search, cd_construct
 __all__ = [
     "Permutation",
     "PermGroup",
+    "CayleyPresentations",
     "CayleyRecovery",
     "Theorem2Report",
     "right_regular",
@@ -34,6 +36,7 @@ __all__ = [
     "aut_hypergraph",
     "find_regular_subgroups",
     "regular_to_cayley",
+    "cayley_presentations",
     "normalizer",
     "verify_theorem2",
 ]
@@ -360,6 +363,80 @@ def regular_to_cayley(h: Dihypergraph, r: PermGroup) -> CayleyRecovery:
     if cd_construct(group, hyperset) != h:
         raise ValueError("the given permutations do not preserve the arcs of h")
     return CayleyRecovery(group=group, hyperset=hyperset)
+
+
+class CayleyPresentations(SimpleNamespace):
+    """Output of cayley_presentations: aut, Aut(h), or None when it is
+    refused; broken, the first generator of Aut(h) that moves an arc off
+    the arc set, or None when every generator keeps it; and listed, one
+    (T_0, orbit, recovery) entry per regular subgroup R of Aut(h) that
+    the search lists, the orbit's size R's weight and recovery
+    regular_to_cayley(h, R), or None when that round trip fails."""
+
+    def entry_for(self, r: PermGroup):
+        """The entry of listed for R = r^(y^-1), for a regular r such as
+        the right translations, where the orbit holding r's slot-1 member
+        maps it to the transporter y, so R's slot-1 member is the orbit's
+        first and r is among the conjugates R's weight counts; None when
+        R is not listed, as when r does not lie in Aut(h).  For n = 1 the
+        slot is 0."""
+        t0 = r.transversals[0]
+        lead = t0[1 % len(t0)]
+        y = next((orbit[lead] for _, orbit, _ in self.listed if lead in orbit), None)
+        if y is None:
+            return None
+        conjugate = tuple(sorted(map(_conjugator(_inverse(y)), t0)))
+        return next((entry for entry in self.listed if entry[0] == conjugate), None)
+
+
+def cayley_presentations(h: Dihypergraph) -> CayleyPresentations:
+    """The regular subgroups of Aut(h), each with the Cayley presentation
+    of h it gives: h is Cayley when Aut(h) holds a regular subgroup, as
+    Sabidussi (1958) has it for graphs.  Each regular subgroup R that
+    _regular_search lists goes through regular_to_cayley, whose group
+    and hyperset rebuild h by cd_construct, or which refuses R; every
+    other regular subgroup is a conjugate of a listed one that its
+    weight counts.  All of it depends on the arcs alone.
+
+    The generators are the maps the search for Aut(h)'s stabiliser chain
+    found, whose products are all of Aut(h), and a product of
+    arc-preserving maps preserves the arcs.  So when no generator breaks
+    an arc, no element does, and every regular subgroup conjugate to a
+    listed one under Aut(h) shares its round trip.  For a in Aut(h) and R
+    regular in Aut(h), R^a is regular in Aut(h), and conjugation by a is
+    an isomorphism from R to R^a: their recovered groups are isomorphic.
+    Both preserve the arcs, so cd_construct of each recovery is h
+    (regular_to_cayley), and both read the same arcs at vertex 0: R^a's
+    round trip holds exactly when R's does.  So each listed R stands for
+    its weight's worth of regular subgroups.  When a generator breaks an
+    arc that proof fails, so every regular subgroup is listed and
+    recovered on its own, each with weight 1.
+    """
+    try:
+        aut = aut_hypergraph(h)
+    except CutoffExceeded:
+        return CayleyPresentations(aut=None, broken=None, listed=())
+    arcs = h.arcs
+
+    def moves_an_arc(p: Permutation) -> bool:
+        im = p.images
+        return {(im[v], tuple(sorted([im[u] for u in e]))) for v, e in arcs} != arcs
+
+    broken = next(filter(moves_an_arc, aut.generators), None)
+    n = h.vertex_count
+    if broken is None:
+        listed = _regular_search(aut, n)
+    else:
+        t0s = [r.transversals[0] for r in find_regular_subgroups(aut, n)]
+        listed = [(t0, {t0[1 % n]: t0[0]}) for t0 in t0s]
+    entries = []
+    for t0, orbit in listed:
+        try:
+            recovery = regular_to_cayley(h, PermGroup._regular(t0))
+        except ValueError:
+            recovery = None
+        entries.append((t0, orbit, recovery))
+    return CayleyPresentations(aut=aut, broken=broken, listed=tuple(entries))
 
 
 def _conjugates_into(x: tuple[int, ...], probes: list[itemgetter], inside: set) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cdhg import (
+    Dihypergraph,
     cd_construct,
     make_cyclic,
     run_census,
@@ -50,6 +51,28 @@ def refused_at_least(message):
     m = re.fullmatch(r"aut order over cap 50000: at least (\d+)", str(message))
     assert m, f"not the order cap's refusal: {message}"
     return int(m[1])
+
+
+def edge_reads(monkeypatch):
+    """A list that gets one (dihypergraph, the set returned) pair per
+    read of Dihypergraph.edges from then on.  It keeps every set it is
+    handed, so two sets built apart are never one object."""
+    reads = []
+    edges = Dihypergraph.edges.fget
+
+    def read(h):
+        reads.append((h, edges(h)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(Dihypergraph, "edges", property(read))
+    return reads
+
+
+def built_once(reads):
+    """True when some dihypergraph in reads, a list from edge_reads, was
+    read more than once and each one read got the same set every time."""
+    first = {}
+    return all(first.setdefault(id(h), e) is e for h, e in reads) and len(reads) > len(first)
 
 
 # one "PASS criterion n: ..." line per acceptance criterion, echoed after

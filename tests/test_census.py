@@ -9,6 +9,7 @@ from cdhg import (
     AUT_VERTEX_CUTOFF,
     PermGroup,
     Permutation,
+    cayley_presentations,
     cd_construct,
     census_corpus,
     census_hypersets,
@@ -18,7 +19,7 @@ from cdhg import (
     validate_hyperset,
 )
 from cdhg.census import CENSUS_MAX_ORDER_CAP, CheckTally
-from conftest import FANO_MEMBERS
+from conftest import FANO_MEMBERS, built_once, edge_reads
 
 
 def test_corpus_at_default_bound():
@@ -94,15 +95,15 @@ def test_run_census_foreign_presentations_order_7():
 
 
 def test_run_census_searches_each_arc_set_once(monkeypatch):
-    import cdhg.census
+    import cdhg.perms
 
     calls = {"aut_hypergraph": 0, "_regular_search": 0}
     for name in calls:
-        def counted(*args, _name=name, _original=getattr(cdhg.census, name), **kwargs):
+        def counted(*args, _name=name, _original=getattr(cdhg.perms, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cdhg.census, name, counted)
+        monkeypatch.setattr(cdhg.perms, name, counted)
     result = run_census(max_order=7, max_member_size=3)
     # 61 instances over 44 distinct arc sets: one search of each per arc set
     assert result.instance_count == 61
@@ -137,17 +138,20 @@ def test_run_census_recovers_each_listed_regular_subgroup_once(monkeypatch):
     # the 61 translations' round trips, and one recovery for each of the
     # 101 subgroups the search lists up to conjugacy by the maps fixing 0
     # and 1 on the 44 distinct arc sets, not one for each of the 340
-    # regular subgroups
+    # regular subgroups; the census makes the first, cayley_presentations
+    # the rest
     import cdhg.census
+    import cdhg.perms
 
     calls = []
-    recover = cdhg.census.regular_to_cayley
+    recover = cdhg.perms.regular_to_cayley
 
     def counted(h, r):
         calls.append(h.arcs)
         return recover(h, r)
 
     monkeypatch.setattr(cdhg.census, "regular_to_cayley", counted)
+    monkeypatch.setattr(cdhg.perms, "regular_to_cayley", counted)
     assert run_census(max_order=7, max_member_size=3).render().endswith("result: PASS\n")
     assert (len(calls), len(set(calls))) == (162, 44)
 
@@ -156,11 +160,13 @@ def test_run_census_tallies_a_failed_recovery(monkeypatch):
     # both the translations' round trip and every other regular
     # subgroup's are tallied as failures instead of raising
     import cdhg.census
+    import cdhg.perms
 
     def refuse(h, r):
         raise ValueError("refused")
 
     monkeypatch.setattr(cdhg.census, "regular_to_cayley", refuse)
+    monkeypatch.setattr(cdhg.perms, "regular_to_cayley", refuse)
     result = run_census(max_order=4, max_member_size=2)
     tallies = result.tallies
     assert tallies["cayley_round_trip"].failed == result.instance_count
@@ -213,12 +219,14 @@ def test_run_census_renders_failures_by_check_then_instance(monkeypatch, capsys)
     # the FAIL block lists the checks in CHECK_NAMES order, each one's
     # instances in census order, and the command line exits 1 on it
     import cdhg.census
+    import cdhg.perms
     from cdhg.cli import main
 
     def refuse(h, r):
         raise ValueError("refused")
 
     monkeypatch.setattr(cdhg.census, "regular_to_cayley", refuse)
+    monkeypatch.setattr(cdhg.perms, "regular_to_cayley", refuse)
     assert run_census(max_order=4, max_member_size=2).render() == REFUSED_RECOVERY_RENDER
     assert main(["census", "--max-order", "4", "--max-member-size", "2"]) == 1
     assert capsys.readouterr().out == REFUSED_RECOVERY_RENDER
@@ -228,9 +236,9 @@ def test_run_census_tallies_a_generator_that_breaks_an_arc(monkeypatch):
     # aut_preserves_arcs reads the generators of Aut(h)'s chain alone; a
     # swap of 0 and 1 slipped in among them fails every instance whose
     # arcs it moves, by the oracle's count
-    import cdhg.census
+    import cdhg.perms
 
-    aut_hypergraph = cdhg.census.aut_hypergraph
+    aut_hypergraph = cdhg.perms.aut_hypergraph
 
     def with_swap(h):
         aut = aut_hypergraph(h)
@@ -239,7 +247,7 @@ def test_run_census_tallies_a_generator_that_breaks_an_arc(monkeypatch):
         swap = Permutation((1, 0, *range(2, h.vertex_count)))
         return PermGroup(h.vertex_count, aut.transversals, (*aut.generators, swap))
 
-    monkeypatch.setattr(cdhg.census, "aut_hypergraph", with_swap)
+    monkeypatch.setattr(cdhg.perms, "aut_hypergraph", with_swap)
     result = run_census(max_order=4, max_member_size=2)
     moved = [
         f"aut_preserves_arcs: {g.name} X={list(x.members)}: permutation "
@@ -308,7 +316,7 @@ def test_census_hash_at_order_ten_with_one_member():
 def test_rows_on_a_directed_hyperset():
     # Z5 X = {(0,1)} is not closed, so CD(Z5, X) is directed; closing it
     # twice still equals closing it once, and every row passes
-    from cdhg.census import _heavy_layers, _rows
+    from cdhg.census import _rows
     from cdhg.groups import group_automorphisms, inner_automorphisms
     from cdhg.perms import right_regular
 
@@ -320,7 +328,7 @@ def test_rows_on_a_directed_hyperset():
         name: good
         for name, good, _ in _rows(
             g, x, h, right_regular(g), group_automorphisms(g), inner_automorphisms(g),
-            _heavy_layers(h),
+            cayley_presentations(h),
         )
     }
     assert rows["closure_idempotent"] is True
@@ -328,25 +336,24 @@ def test_rows_on_a_directed_hyperset():
     assert all(good is True for good in rows.values()), rows
 
 
-def test_rows_read_the_instance_edges_once(monkeypatch):
-    # Dihypergraph.edges makes the edges from the arcs on every read; the
-    # rows read h's once, subgroup_members and the underlying check too
-    from cdhg import Dihypergraph
-    from cdhg.census import _heavy_layers, _rows
+def test_rows_build_the_instance_edges_once(monkeypatch):
+    # the rows read h.edges through each invariant, subgroup_members and
+    # the underlying check, and every read of h's, or of any other
+    # dihypergraph's, returns the set its first read built
+    from cdhg.census import _rows
     from cdhg.groups import group_automorphisms, inner_automorphisms
     from cdhg.perms import right_regular
 
     g = make_cyclic(4)
     x = validate_hyperset(g, [[0, 2]])
     h = cd_construct(g, x)
-    heavy = _heavy_layers(h)
-    reads = []
-    edges = Dihypergraph.edges
-    monkeypatch.setattr(Dihypergraph, "edges", property(lambda d: reads.append(d) or edges.fget(d)))
-    rows = list(_rows(g, x, h, right_regular(g), group_automorphisms(g), inner_automorphisms(g), heavy))
+    found = cayley_presentations(h)
+    reads = edge_reads(monkeypatch)
+    rows = list(_rows(g, x, h, right_regular(g), group_automorphisms(g), inner_automorphisms(g), found))
     assert "subgroup_members" in {name for name, _, _ in rows}
     assert all(good for _, good, _ in rows)
-    assert sum(d is h for d in reads) == 1
+    assert sum(d is h for d, _ in reads) > 1
+    assert built_once(reads)
 
 
 def test_run_census_refuses_aut_over_order_cap():

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import cdhg
 from cdhg import (
-    Dihypergraph,
     build_analysis_report,
     direct_product,
     make_cyclic,
@@ -15,7 +14,7 @@ from cdhg import (
     validate_hyperset,
 )
 from cdhg.cli import main
-from conftest import FANO_MEMBERS, refused_at_least
+from conftest import FANO_MEMBERS, built_once, edge_reads, refused_at_least
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -46,15 +45,15 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def test_report_without_aut_reads_the_edges_once(monkeypatch):
-    # Dihypergraph.edges makes the edges from the arcs on every read
-    reads = []
-    edges = Dihypergraph.edges
-    monkeypatch.setattr(Dihypergraph, "edges", property(lambda h: reads.append(h) or edges.fget(h)))
+def test_report_without_aut_builds_the_edges_once(monkeypatch):
+    # the report reads h.edges through each invariant, and every read
+    # returns the set the first one built
+    reads = edge_reads(monkeypatch)
     z7 = make_cyclic(7)
     report = build_analysis_report(z7, validate_hyperset(z7, FANO_MEMBERS), with_aut=False)
     assert report.render().startswith(FANO_REPORT.split("aut_h")[0])
-    assert len(reads) == 1
+    assert len({id(h) for h, _ in reads}) == 1
+    assert built_once(reads)
 
 
 def test_build_golden(capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no private
-helper outlives its last caller, importing the package loads none of
-dataclasses, inspect and argparse, the plain value classes keep value
-semantics, and each result record carries its fields where it is built."""
+helper outlives its last caller, the front ends import no private name,
+importing the package loads none of dataclasses, inspect and argparse,
+the plain value classes keep value semantics, and each result record
+carries its fields where it is built."""
 
 import ast
 import os
@@ -18,6 +19,7 @@ from cdhg import (
     Permutation,
     UndirectedHypergraph,
     build_analysis_report,
+    cayley_presentations,
     cd_construct,
     make_cyclic,
     regular_to_cayley,
@@ -102,6 +104,29 @@ def test_dead_helpers_finds_an_uncalled_helper():
         "def _by_attribute():\n    pass\n",
     }
     assert dead_helpers(sources) == [("a", "_dead")]
+
+
+def private_imports(source):
+    """(line, name) for each underscore name imported from a cdhg module."""
+    return [
+        (node.lineno, a.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("cdhg"))
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("name", ["census.py", "cli.py"])
+def test_front_ends_import_no_private_name(name):
+    # the census and the command line call the library through its
+    # public functions, so each decision lives behind one of them
+    assert private_imports((ROOT / "src" / "cdhg" / name).read_text()) == []
+
+
+def test_private_imports_finds_a_private_name():
+    source = "from .perms import _a, b\nfrom cdhg.groups import _c\nfrom os import _d\n"
+    assert private_imports(source) == [(1, "_a"), (2, "_c")]
 
 
 def test_cold_import_loads_no_dataclasses_or_inspect():
@@ -196,9 +221,19 @@ def test_finite_groups_differing_in_name_or_generators_are_equal():
 @pytest.mark.parametrize("cls, fields, compared", VALUE_TYPES, ids=VALUE_IDS)
 def test_value_types_repr_every_field_by_keyword_in_slot_order(cls, fields, compared):
     values = fields()
-    assert tuple(values) == cls.__slots__
+    assert tuple(values) == tuple(name for name in cls.__slots__ if not name.startswith("_"))
     shown = ", ".join(f"{name}={value!r}" for name, value in values.items())
     assert repr(cls(**values)) == f"{cls.__name__}({shown})"
+
+
+def test_dihypergraph_whose_edges_were_read_is_the_same_value():
+    # the edge set kept after the first read takes no part in ==, the
+    # hash or the repr
+    fields = VALUE_TYPES[3][1]
+    read, unread = Dihypergraph(**fields()), Dihypergraph(**fields())
+    assert read.edges is read.edges == frozenset({(0, 1), (1, 2)})
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert {read: "found"}[unread] == "found"
 
 
 def test_permutation_repr():
@@ -221,9 +256,10 @@ def test_records_carry_their_fields_where_they_are_built():
             "nontrivial_regular_round_trips foreign_presentations",
         ),
         (regular_to_cayley(h, right_regular(z7)), "group hyperset"),
+        (cayley_presentations(h), "aut broken listed"),
         (build_analysis_report(z7, fano), "entries"),
     ]
     # a record takes any keyword, so a misspelt field shows only here
     for record, fields in built:
         assert [name for name in fields.split() if not hasattr(record, name)] == []
-    assert [len(fields.split()) for _, fields in built] == [9, 7, 2, 1]
+    assert [len(fields.split()) for _, fields in built] == [9, 7, 2, 3, 1]

@@ -3,6 +3,7 @@ regular subgroups, recovery, normalizers, and the factorization report."""
 
 import hashlib
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -18,12 +19,14 @@ import cdhg.census
 import cdhg.cli
 import oracles
 from cdhg import (
+    CayleyPresentations,
     CutoffExceeded,
     Dihypergraph,
     PermGroup,
     Permutation,
     aut_hypergraph,
     build_analysis_report,
+    cayley_presentations,
     cd_construct,
     census_corpus,
     census_hypersets,
@@ -80,9 +83,9 @@ def test_composition_is_left_to_right():
 def test_inverse_and_identity():
     a = Permutation((2, 0, 3, 1))
     undo = Permutation(_inverse(a.images))
-    assert a.then(undo).is_identity()
+    assert a.then(undo).images == tuple(range(4))
     assert undo.then(a) == Permutation(tuple(range(4)))
-    assert not a.is_identity()
+    assert a.images != tuple(range(4))
 
 
 def test_right_regular_cyclic():
@@ -725,24 +728,49 @@ def test_regular_classes_match_the_brute_force_conjugates():
 def test_regular_classes_refuse_a_conjugate_that_is_not_listed():
     # on the Z4 loops (Aut S4) the census's regular_subgroups row finds
     # the translations' listed conjugate, and fails once it is dropped
-    from cdhg.census import _heavy_layers, _listed_conjugate, _rows
+    from cdhg.census import _rows
     from cdhg.groups import group_automorphisms, inner_automorphisms
 
     z4 = make_cyclic(4)
     x = validate_hyperset(z4, [[0]])
     h = cd_construct(z4, x)
     g_r = right_regular(z4)
-    aut_h, bad, regs = _heavy_layers(h)
-    assert sum(len(orbit) for _, orbit, _ in regs) == 4 > len(regs)
+    found = cayley_presentations(h)
+    assert sum(len(orbit) for _, orbit, _ in found.listed) == 4 > len(found.listed)
 
-    def row(regs):
-        rows = _rows(z4, x, h, g_r, group_automorphisms(z4), inner_automorphisms(z4), (aut_h, bad, regs))
+    def row(found):
+        rows = _rows(z4, x, h, g_r, group_automorphisms(z4), inner_automorphisms(z4), found)
         return next(good for name, good, _ in rows if name == "regular_subgroups")
 
-    own = _listed_conjugate(regs, g_r.transversals[0])
+    own = found.entry_for(g_r)
     assert own is not None
-    assert row(regs) is True
-    assert row([entry for entry in regs if entry is not own]) is False
+    assert row(found) is True
+    dropped = tuple(entry for entry in found.listed if entry is not own)
+    assert row(CayleyPresentations(**{**vars(found), "listed": dropped})) is False
+
+
+@pytest.mark.parametrize(
+    "n, members",
+    [(4, [[0]]), (6, [[0, 3], [0, 2, 4]]), (7, [[0, 1, 3], [0, 4, 5], [0, 2, 6]]), (8, [[0]])],
+)
+def test_cayley_presentations_count_each_regular_subgroup_once(n, members):
+    # entry_for sends each regular subgroup of Aut(h) to the listed one
+    # whose weight counts it, and every listed one recovers h
+    zn = make_cyclic(n)
+    h = cd_construct(zn, validate_hyperset(zn, members))
+    found = cayley_presentations(h)
+    assert found.aut.order == aut_hypergraph(h).order and found.broken is None
+    counted = Counter(found.entry_for(r)[0] for r in find_regular_subgroups(found.aut, n))
+    assert counted == {t0: len(orbit) for t0, orbit, _ in found.listed}
+    assert all(cd_construct(rec.group, rec.hyperset) == h for _, _, rec in found.listed)
+
+
+def test_cayley_presentations_of_a_refused_aut_list_nothing():
+    # the Z9 loops give Aut = S9, over the order cap
+    z9 = make_cyclic(9)
+    found = cayley_presentations(cd_construct(z9, validate_hyperset(z9, [[0]])))
+    assert (found.aut, found.broken, found.listed) == (None, None, ())
+    assert found.entry_for(right_regular(z9)) is None
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -813,7 +841,7 @@ def test_find_regular_subgroups_full_hyperset():
     kleins = [
         r
         for r in regs
-        if all(p.then(p).is_identity() for p in r.perms)
+        if all(p.then(p).images == tuple(range(4)) for p in r.perms)
     ]
     assert len(kleins) == 1
 
