@@ -186,6 +186,8 @@ def _rows(g, x, h, g_r, auts_g, inns_g, found):
     if all(is_subgroup(g, m) for m in x.members):
         expected = sum(subgroup_index(g, m) for m in x.members)
         detail = f"|E|={len(h.edges)} expected={expected}"
+        # sound for any X: a family of subgroups is closed, as m*s^-1 = m
+        # for s in a subgroup m, so closed holds wherever this row applies
         yield "subgroup_members", closed and len(h.edges) == expected, detail
 
     classes = cayley_equivalence_classes(g, x)

@@ -528,7 +528,10 @@ def _chain_search(
             else:
                 descend(k + 1, y, below)
 
-    descend(0, transversals[0][0], state)
+    try:
+        descend(0, transversals[0][0], state)
+    finally:
+        del descend  # it reaches itself by its own cell: empty it, or a cycle is left
     return out
 
 
@@ -677,7 +680,10 @@ def _automorphism_search(
             return tuple(mapping)
         return next(filter(None, (extend(j + 1, [*images, t]) for t in candidates[j + 1])), None)
 
-    transversals, _ = _stabiliser_chain(n, base, lambda k, w: extend(k, [*base[:k], w]), candidates)
+    try:
+        transversals, _ = _stabiliser_chain(n, base, lambda k, w: extend(k, [*base[:k], w]), candidates)
+    finally:
+        del extend  # as in _chain_search, also when the chain is refused
     return tuple(map(Permutation, sorted(_chain_products(transversals, n))))
 
 

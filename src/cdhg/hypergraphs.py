@@ -224,11 +224,12 @@ def _pair_codes(h: Dihypergraph) -> list[list[int]]:
 
 def _completion_search(
     a: Dihypergraph, b: Dihypergraph
-) -> Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]:
+) -> tuple[Callable[[tuple[int, ...]], Optional[tuple[int, ...]]], Optional[list[list[int]]]]:
     """The search for vertex bijections mapping the arcs of a onto the
     arcs of b, as a function of a prefix: given the images of vertices
     0..len(prefix)-1, it returns the first arc-preserving completion, as
-    an image tuple, or None.
+    an image tuple, or None.  It comes paired with feasible, None unless
+    b is a.
 
     Backtracking in natural vertex order, candidate images in natural
     order.  Every isomorphism keeps the pair codes, so the pruning is
@@ -249,6 +250,18 @@ def _completion_search(
     The codes are computed once, so repeated prefixes share them.  When b
     is a, the identity on 0..k-1 passes every test, so for a prefix
     (0, ..., k-1, w) only w is tested, then the search goes on from k+1.
+
+    Then feasible[k] lists, in increasing order, the w in candidates[k]
+    with code[w][:k] == heads[k], exactly those whose first test passes
+    against the identity on 0..k-1.  A map s of Aut(a) fixing 0..k-1
+    keeps the codes, so code[s(k)][m] = code[s(k)][s(m)] = code[k][m] for
+    m < k, and s(k) has k's key: feasible[k] holds every image of k under
+    those maps.  The search refuses (0, ..., k-1, w) at its first test
+    for every other w, and so for each point of w's orbit under such
+    maps, all of which are others too.  So groups._stabiliser_chain over
+    feasible in place of every point skips only prefixes that fail and
+    whose orbits hold no feasible point: it asks the same prefixes that
+    succeed, in the same order, and finds the same maps and transversals.
     """
     n = a.vertex_count
     if b is not a and (
@@ -256,20 +269,24 @@ def _completion_search(
         or len(a.arcs) != len(b.arcs)
         or sorted(map(len, a.edges)) != sorted(map(len, b.edges))
     ):
-        return lambda prefix: None
+        return (lambda prefix: None), None
     if n > AUT_VERTEX_CUTOFF:
         raise CutoffExceeded(f"over cutoff ({n} > {AUT_VERTEX_CUTOFF})")
     code_a = _pair_codes(a)
     code_b = code_a if b is a else _pair_codes(b)
-    key_a, key_b = ([(row[v], tuple(sorted(row))) for v, row in enumerate(c)] for c in (code_a, code_b))
+    key_a = [(row[v], tuple(sorted(row))) for v, row in enumerate(code_a)]
+    key_b = key_a if b is a else [(row[v], tuple(sorted(row))) for v, row in enumerate(code_b)]
     if b is not a and sorted(key_a) != sorted(key_b):
-        return lambda prefix: None
+        return (lambda prefix: None), None
     images: dict = {}
     for w, key in enumerate(key_b):
         images.setdefault(key, []).append(w)
     candidates = [images[key] for key in key_a]
     # the codes of k against 0..k-1, which the image of k must match
     heads = [row[:k] for k, row in enumerate(code_a)]
+    feasible = None
+    if b is a:
+        feasible = [[w for w in ws if code_a[w][:k] == heads[k]] for k, ws in enumerate(candidates)]
     arcs_b = {(v, frozenset(e)) for v, e in b.arcs}
     implied = 2 if all(v in e for arcs in {a.arcs, b.arcs} for v, e in arcs) else 1
     # the other arcs of a, scheduled at the step where their last vertex
@@ -314,9 +331,12 @@ def _completion_search(
                     used[w] = False
             return False
 
-        return tuple(mapping) if descend(k) else None
+        try:
+            return tuple(mapping) if descend(k) else None
+        finally:
+            del descend  # it reaches itself by its own cell: empty it, or a cycle is left
 
-    return first
+    return first, feasible
 
 
 def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[int, ...]]:
@@ -324,7 +344,7 @@ def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[in
     image tuple, or None: the first completion of the empty prefix.  Size
     mismatches short-circuit to None; equal sizes over AUT_VERTEX_CUTOFF
     vertices are refused as 'over cutoff (n > AUT_VERTEX_CUTOFF)'."""
-    return _completion_search(a, b)(())
+    return _completion_search(a, b)[0](())
 
 
 def dump_dihypergraph(h: Dihypergraph) -> str:

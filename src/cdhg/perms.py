@@ -157,12 +157,15 @@ def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     """Every vertex permutation preserving the arc set, as the chain
     groups._stabiliser_chain builds over the base 0..n-1 from the first
     arc-preserving completion of (0, ..., k-1, w), the search the
-    isomorphism test shares.  Refused as 'over cutoff (n >
-    AUT_VERTEX_CUTOFF)' by that search, and by the order cap."""
+    isomorphism test shares, asked only for the points w its pair codes
+    leave feasible: the chain and its generators are those every point
+    would give (proof in hypergraphs._completion_search).  Refused as
+    'over cutoff (n > AUT_VERTEX_CUTOFF)' by that search, and by the
+    order cap."""
     n = h.vertex_count
-    search = _completion_search(h, h)
+    search, feasible = _completion_search(h, h)
     transversals, found = _stabiliser_chain(
-        n, range(n), lambda k, w: search((*range(k), w)), [range(n)] * n
+        n, range(n), lambda k, w: search((*range(k), w)), feasible
     )
     return PermGroup(n, transversals, tuple(map(Permutation, found)))
 
@@ -310,7 +313,10 @@ def _regular_search(p: PermGroup, n: int) -> list[tuple[tuple[tuple[int, ...], .
             while len(members) > size:
                 slots[members.pop()[0]] = None
 
-    descend([], {identity: identity})
+    try:
+        descend([], {identity: identity})
+    finally:
+        del descend  # as in groups._chain_search
     return out
 
 

@@ -1,6 +1,7 @@
 """Vertex permutations: regular representations, automorphism search,
 regular subgroups, recovery, normalizers, and the factorization report."""
 
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -219,7 +220,9 @@ def test_aut_rejects_a_wrong_stabiliser_chain(monkeypatch):
     import cdhg.perms
     from cdhg import Dihypergraph
 
-    monkeypatch.setattr(cdhg.perms, "_completion_search", lambda a, b: lambda prefix: (1, 0, 2))
+    monkeypatch.setattr(
+        cdhg.perms, "_completion_search", lambda a, b: (lambda prefix: (1, 0, 2), [range(3)] * 3)
+    )
     with pytest.raises(RuntimeError, match="distinct products"):
         aut_hypergraph(Dihypergraph(vertex_count=3, arcs=frozenset()))
 
@@ -233,7 +236,7 @@ def test_aut_rejects_a_chain_that_repeats_an_image(monkeypatch):
     monkeypatch.setattr(
         cdhg.perms,
         "_completion_search",
-        lambda a, b: lambda prefix: (0, 2, 1, 3) if len(prefix) == 2 else None,
+        lambda a, b: (lambda prefix: (0, 2, 1, 3) if len(prefix) == 2 else None, [range(4)] * 4),
     )
     with pytest.raises(RuntimeError, match="distinct products"):
         aut_hypergraph(Dihypergraph(vertex_count=4, arcs=frozenset()))
@@ -248,7 +251,7 @@ def test_aut_rejects_a_chain_map_that_moves_a_fixed_point(monkeypatch):
     monkeypatch.setattr(
         cdhg.perms,
         "_completion_search",
-        lambda a, b: lambda prefix: (1, 2, 0) if len(prefix) == 2 else None,
+        lambda a, b: (lambda prefix: (1, 2, 0) if len(prefix) == 2 else None, [range(3)] * 3),
     )
     with pytest.raises(RuntimeError, match="distinct products"):
         aut_hypergraph(Dihypergraph(vertex_count=3, arcs=frozenset()))
@@ -289,19 +292,109 @@ def test_aut_of_loops_searches_once_per_level(monkeypatch, n):
     search = cdhg.perms._completion_search
 
     def counted(a, b):
-        first = search(a, b)
+        first, feasible = search(a, b)
 
         def counted_first(prefix):
             prefixes.append(prefix)
             return first(prefix)
 
-        return counted_first
+        return counted_first, feasible
 
     monkeypatch.setattr(cdhg.perms, "_completion_search", counted)
     zn = make_cyclic(n)
     aut = aut_hypergraph(cd_construct(zn, validate_hyperset(zn, [[0]])))
     assert len(prefixes) == n - 1
     assert aut.order == math.factorial(n)
+
+
+def test_aut_of_the_8_cycle_searches_only_feasible_points(monkeypatch):
+    # Aut(CD(Z8, {{0, 1}, {0, 7}})) is D8.  Built from the last level
+    # down: past level 1 the codes against 0 and 1 leave k alone, level 1
+    # finds 1 -> 7, the other neighbour of 0, and level 0 finds 0 -> 1.
+    # So the chain asks 2 prefixes, where every point as a candidate asked 22
+    import cdhg.perms
+
+    prefixes = []
+    search = cdhg.perms._completion_search
+
+    def counted(a, b):
+        first, feasible = search(a, b)
+        return (lambda prefix: prefixes.append(prefix) or first(prefix)), feasible
+
+    monkeypatch.setattr(cdhg.perms, "_completion_search", counted)
+    z8 = make_cyclic(8)
+    aut = aut_hypergraph(cd_construct(z8, validate_hyperset(z8, [[0, 1], [0, 7]])))
+    assert prefixes == [(0, 7), (1,)]
+    assert aut.order == 16
+
+
+def test_aut_chain_over_feasible_points_is_the_chain_over_every_point():
+    # asking only the points the pair codes leave feasible must give the
+    # transversals and generators every point gives, on each distinct
+    # census arc set to order 10, refusals included
+    from cdhg.groups import _stabiliser_chain
+    from cdhg.hypergraphs import _completion_search
+
+    seen = set()
+    for g in census_corpus(10):
+        for x in census_hypersets(g, 3):
+            h = cd_construct(g, x)
+            if h.arcs in seen:
+                continue
+            seen.add(h.arcs)
+            n = h.vertex_count
+            search, _ = _completion_search(h, h)
+            try:
+                chain = _stabiliser_chain(n, range(n), lambda k, w: search((*range(k), w)), [range(n)] * n)
+            except CutoffExceeded:
+                with pytest.raises(CutoffExceeded):
+                    aut_hypergraph(h)
+                continue
+            aut = aut_hypergraph(h)
+            assert (aut.transversals, tuple(p.images for p in aut.generators)) == chain
+    assert len(seen) == 152
+
+
+def test_searches_leave_no_garbage():
+    # each search's recursive helper reaches itself only through its own
+    # cell, emptied when the search returns or is refused, so no call
+    # leaves a cycle for the collector.  The refusal is caught by a plain
+    # except, since an ExceptionInfo would keep its frames alive
+    from cdhg import aut_g_x, group_automorphisms
+
+    z6, z7 = make_cyclic(6), make_cyclic(7)
+    fano = validate_hyperset(z7, [[0, 1, 3], [0, 4, 5], [0, 2, 6]])
+    h = cd_construct(z7, fano)
+    copy = Dihypergraph(vertex_count=h.vertex_count, arcs=frozenset(set(h.arcs)))
+    # the 6-cycle and two triangles: equal pair-code keys, no isomorphism
+    hexagon = cd_construct(z6, validate_hyperset(z6, [[0, 1], [0, 5]]))
+    triangles = cd_construct(z6, validate_hyperset(z6, [[0, 2], [0, 4]]))
+    z2_5 = make_cyclic(2)
+    for _ in range(4):
+        z2_5 = direct_product(z2_5, make_cyclic(2))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        aut = aut_hypergraph(h)
+        assert hypergraph_isomorphic(h, copy) is not None
+        assert hypergraph_isomorphic(hexagon, triangles) is None
+        assert len(find_regular_subgroups(aut, 7)) == 8
+        assert len(cayley_presentations(h).listed) == 2
+        assert normalizer(aut, right_regular(z7)).order == 21
+        assert verify_theorem2(z7, fano).aut_g_x_order == 3
+        assert len(group_automorphisms(z7)) == 6
+        assert len(aut_g_x(z7, fano)) == 3
+        try:
+            group_automorphisms(z2_5)
+        except CutoffExceeded:
+            pass
+        else:
+            raise AssertionError("Aut(Z2^5) was not refused")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_chains_of_census_order_10_stay_pinned():
@@ -344,7 +437,8 @@ def test_completion_search_of_a_copy_answers_as_of_itself(name, members):
     h = cd_construct(g, validate_hyperset(g, members))
     copy = Dihypergraph(vertex_count=h.vertex_count, arcs=frozenset(set(h.arcs)))
     assert copy == h and copy is not h
-    itself, other = _completion_search(h, h), _completion_search(h, copy)
+    (itself, _), (other, none) = _completion_search(h, h), _completion_search(h, copy)
+    assert none is None
     n = h.vertex_count
     answers = [itself((*range(k), w)) for k in range(n) for w in range(n)]
     assert answers == [other((*range(k), w)) for k in range(n) for w in range(n)]
@@ -358,7 +452,7 @@ def test_completion_search_of_itself_tests_a_moved_prefix():
 
     z5 = make_cyclic(5)
     h = cd_construct(z5, validate_hyperset(z5, [[0, 1]]))
-    search = _completion_search(h, h)
+    search, _ = _completion_search(h, h)
     assert search((1, 0)) is None
     assert search((1,)) == (1, 2, 3, 4, 0)
     assert search((0, 2)) is None
@@ -366,7 +460,7 @@ def test_completion_search_of_itself_tests_a_moved_prefix():
     # took (1, 0) as placed would test 2 alone, which has no arc and no
     # code against 0 or 1 to tell it, and would answer (1, 0, 2)
     h = Dihypergraph(vertex_count=3, arcs=frozenset({(0, (0, 1))}))
-    search = _completion_search(h, h)
+    search, _ = _completion_search(h, h)
     assert search((1, 0, 2)) is None
     assert search((0, 1, 2)) == (0, 1, 2)
 
