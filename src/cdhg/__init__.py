@@ -40,7 +40,6 @@ from .hypersets import (
     validate_hyperset,
 )
 from .hypergraphs import (
-    AUT_VERTEX_CUTOFF,
     Dihypergraph,
     UndirectedHypergraph,
     cd_construct,
@@ -83,7 +82,6 @@ def __getattr__(name):
 
 __all__ = [
     "AUT_ORDER_CAP",
-    "AUT_VERTEX_CUTOFF",
     "AnalysisReport",
     "CayleyHyperset",
     "CayleyPresentations",

@@ -226,6 +226,12 @@ def _rows(g, x, h, g_r, auts_g, inns_g, found):
     good = all(t in aut_h for t in g_r.generators)
     yield "right_regular_in_aut", good, "a right translation is not an automorphism"
     yield "aut_preserves_arcs", bad is None, f"permutation {bad and bad.images} breaks an arc"
+    if not good:
+        # the Theorem 2 report needs G_R inside Aut(h), and so does every
+        # row from here on: each fails for the same reason
+        for name in CHECK_NAMES[CHECK_NAMES.index("regular_subgroups") :]:
+            yield name, False, "a right translation is not an automorphism"
+        return
 
     # G_R is the one member of its class exactly when it is normal in
     # Aut(h); it is then listed as itself, and its round trip is the

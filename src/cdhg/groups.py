@@ -29,9 +29,13 @@ __all__ = [
     "inner_automorphisms",
 ]
 
-# _stabiliser_chain refuses a larger Aut(h) or Aut(G, X) by its order,
-# before listing any element.  S8 (40,320) is the largest Aut(h) in the
-# census; Z2^5 has 9,999,360 automorphisms, 322,560 preserving {{0, 1}}.
+# The one automorphism cap.  _stabiliser_chain refuses a larger Aut(h)
+# or Aut(G, X) by its order, before listing any element; the completion
+# search behind Aut(h) and the isomorphism test refuses more vertex
+# pairs than this (n <= 223), and more images tried in one search.  S8
+# (40,320) is the largest Aut(h) in the census, and 1,143 images its
+# worst search; Z2^5 has 9,999,360 automorphisms, 322,560 preserving
+# {{0, 1}}.
 AUT_ORDER_CAP = 50000
 
 

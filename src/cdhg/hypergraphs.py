@@ -11,11 +11,10 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional
 
-from .groups import CutoffExceeded, FiniteGroup, _Value
+from .groups import AUT_ORDER_CAP, CutoffExceeded, FiniteGroup, _Value
 from .hypersets import CayleyHyperset, cayley_equivalence_classes
 
 __all__ = [
-    "AUT_VERTEX_CUTOFF",
     "Arc",
     "Dihypergraph",
     "UndirectedHypergraph",
@@ -32,10 +31,6 @@ __all__ = [
 ]
 
 Arc = tuple[int, tuple[int, ...]]
-
-# The backtracking search behind the isomorphism test and the
-# automorphism search refuses more vertices than this.
-AUT_VERTEX_CUTOFF = 12
 
 
 class Dihypergraph(_Value):
@@ -262,6 +257,12 @@ def _completion_search(
     feasible in place of every point skips only prefixes that fail and
     whose orbits hold no feasible point: it asks the same prefixes that
     succeed, in the same order, and finds the same maps and transversals.
+
+    groups.AUT_ORDER_CAP bounds what the search lists and visits.  More
+    vertex pairs than the cap are refused before the codes are made, as
+    'over cap CAP: n vertices give n^2 vertex pairs'; and every image w
+    fits tests is counted, over all calls of first, so the test past the
+    cap is refused as 'search over cap CAP: more than CAP images tried'.
     """
     n = a.vertex_count
     if b is not a and (
@@ -270,8 +271,8 @@ def _completion_search(
         or sorted(map(len, a.edges)) != sorted(map(len, b.edges))
     ):
         return (lambda prefix: None), None
-    if n > AUT_VERTEX_CUTOFF:
-        raise CutoffExceeded(f"over cutoff ({n} > {AUT_VERTEX_CUTOFF})")
+    if n * n > AUT_ORDER_CAP:
+        raise CutoffExceeded(f"over cap {AUT_ORDER_CAP}: {n} vertices give {n * n} vertex pairs")
     code_a = _pair_codes(a)
     code_b = code_a if b is a else _pair_codes(b)
     key_a = [(row[v], tuple(sorted(row))) for v, row in enumerate(code_a)]
@@ -296,9 +297,14 @@ def _completion_search(
         if len(e) > implied:
             pending[max(v, e[-1])].append((v, itemgetter(*e)))
     identity = tuple(range(n))
+    tried = 0
 
     def fits(k: int, w: int, mapping: list[int]) -> bool:
         """w passes as the image of k, the images of 0..k-1 in mapping."""
+        nonlocal tried
+        tried += 1
+        if tried > AUT_ORDER_CAP:
+            raise CutoffExceeded(f"search over cap {AUT_ORDER_CAP}: more than {AUT_ORDER_CAP} images tried")
         row = code_b[w]
         if [row[m] for m in mapping[:k]] != heads[k]:
             return False
@@ -342,8 +348,8 @@ def _completion_search(
 def hypergraph_isomorphic(a: Dihypergraph, b: Dihypergraph) -> Optional[tuple[int, ...]]:
     """A vertex bijection carrying the arcs of a onto the arcs of b, as an
     image tuple, or None: the first completion of the empty prefix.  Size
-    mismatches short-circuit to None; equal sizes over AUT_VERTEX_CUTOFF
-    vertices are refused as 'over cutoff (n > AUT_VERTEX_CUTOFF)'."""
+    mismatches short-circuit to None; otherwise the search is refused
+    past AUT_ORDER_CAP vertex pairs or images tried (_completion_search)."""
     return _completion_search(a, b)[0](())
 
 

@@ -159,9 +159,9 @@ def aut_hypergraph(h: Dihypergraph) -> PermGroup:
     arc-preserving completion of (0, ..., k-1, w), the search the
     isomorphism test shares, asked only for the points w its pair codes
     leave feasible: the chain and its generators are those every point
-    would give (proof in hypergraphs._completion_search).  Refused as
-    'over cutoff (n > AUT_VERTEX_CUTOFF)' by that search, and by the
-    order cap."""
+    would give (proof in hypergraphs._completion_search).  AUT_ORDER_CAP
+    refuses it three ways: by the vertex pairs and by the images tried
+    in that search, and by the chain's order."""
     n = h.vertex_count
     search, feasible = _completion_search(h, h)
     transversals, found = _stabiliser_chain(

@@ -43,6 +43,13 @@ def preserves_arcs(images, arcs):
     )
 
 
+def carries_arcs(p, arcs_a, arcs_b):
+    """True when the permutation p, given by its image tuple, maps the
+    arc set arcs_a onto arcs_b."""
+    image = frozenset((p[v], tuple(sorted(p[w] for w in e))) for v, e in arc_set(arcs_a))
+    return image == arc_set(arcs_b)
+
+
 def brute_hypergraph_isomorphism(n, arcs_a, arcs_b):
     """First permutation carrying arcs_a onto arcs_b, or None."""
     a = arc_set(arcs_a)
@@ -344,15 +351,16 @@ def brute_normalizer(big, small):
     return frozenset(found)
 
 
-def vf2_isomorphic(n, arcs_a, arcs_b):
-    """True when some vertex bijection carries arcs_a onto arcs_b, decided
-    by networkx's VF2 on incidence digraphs.
+def _vf2_matcher(n, arcs_a, arcs_b):
+    """networkx's VF2 matcher between the incidence digraphs of arcs_a
+    and arcs_b.
 
     Each side has a node per vertex and a node per distinct edge, told
     apart by a "kind" attribute that the match must keep; an edge node
     points to its vertices, and an arc (v, e) points from v to e's node.
     An edge node's out-neighbours are its vertices, so a match sends it
-    to the node of the image of its edge, and so carries arcs to arcs."""
+    to the node of the image of its edge, and so carries arcs to arcs;
+    each vertex bijection carrying arcs_a onto arcs_b is one match."""
     def incidence(arcs):
         d = nx.DiGraph()
         d.add_nodes_from((("v", v) for v in range(n)), kind="v")
@@ -362,7 +370,18 @@ def vf2_isomorphic(n, arcs_a, arcs_b):
             d.add_edge(("v", v), ("e", e))
         return d
 
-    matcher = DiGraphMatcher(
+    return DiGraphMatcher(
         incidence(arcs_a), incidence(arcs_b), node_match=categorical_node_match("kind", None)
     )
-    return matcher.is_isomorphic()
+
+
+def vf2_isomorphic(n, arcs_a, arcs_b):
+    """True when some vertex bijection carries arcs_a onto arcs_b, decided
+    by networkx's VF2 on incidence digraphs."""
+    return _vf2_matcher(n, arcs_a, arcs_b).is_isomorphic()
+
+
+def vf2_automorphism_count(n, arcs):
+    """The number of vertex permutations preserving arcs, counted by
+    networkx's VF2 as the matches of the incidence digraph with itself."""
+    return sum(1 for _ in _vf2_matcher(n, arcs, arcs).isomorphisms_iter())

@@ -5,10 +5,13 @@ import hashlib
 import pytest
 
 import oracles
+import cdhg.hypergraphs
+import cdhg.perms
 from cdhg import (
-    AUT_VERTEX_CUTOFF,
+    CutoffExceeded,
     PermGroup,
     Permutation,
+    aut_hypergraph,
     cayley_presentations,
     cd_construct,
     census_corpus,
@@ -18,8 +21,9 @@ from cdhg import (
     run_census,
     validate_hyperset,
 )
-from cdhg.census import CENSUS_MAX_ORDER_CAP, CheckTally
-from conftest import FANO_MEMBERS, built_once, edge_reads
+from cdhg.census import CENSUS_MAX_MEMBER_CAP, CENSUS_MAX_ORDER_CAP, CheckTally
+from cdhg.cli import main
+from conftest import FANO_MEMBERS, built_once, edge_reads, refused_at_least
 
 
 def test_corpus_at_default_bound():
@@ -376,12 +380,54 @@ def test_run_census_refuses_aut_over_order_cap():
     assert result.render().endswith("result: PASS\n")
 
 
-def test_census_order_cap_stays_under_the_vertex_cutoff():
-    # every census instance has at most CENSUS_MAX_ORDER_CAP vertices, so
-    # aut_hypergraph never refuses one by the vertex cutoff, and the
-    # census's one skip label for a refused Aut, "aut order over cap",
-    # is true; a change that replaces the cutoff must revisit this
-    assert CENSUS_MAX_ORDER_CAP <= AUT_VERTEX_CUTOFF
+def test_census_refuses_aut_by_its_order_alone(monkeypatch):
+    # the census's one skip label for a refused Aut, "aut order over cap",
+    # is true when the completion search's own caps refuse no census arc
+    # set: on every distinct one the census bounds allow, each refusal is
+    # by the chain's order, and a tenth of the cap on the images tried
+    # refuses none (the worst search tries 1,143)
+    seen = {}
+    for g in census_corpus(CENSUS_MAX_ORDER_CAP):
+        for x in census_hypersets(g, CENSUS_MAX_MEMBER_CAP):
+            h = cd_construct(g, x)
+            seen.setdefault(h.arcs, h)
+    assert len(seen) == 294
+
+    def refusals():
+        refused = []
+        for h in seen.values():
+            try:
+                aut_hypergraph(h)
+            except CutoffExceeded as exc:
+                refused.append(refused_at_least(exc))
+        return refused
+
+    refused = refusals()
+    assert len(refused) == 2 and all(order > 50000 for order in refused)
+    monkeypatch.setattr(cdhg.hypergraphs, "AUT_ORDER_CAP", 5000)
+    assert refusals() == refused
+
+
+def test_census_tallies_a_translation_missing_from_aut(monkeypatch, capsys):
+    # with Aut(h) wrongly found trivial, G_R is not inside it: the rows
+    # that need the Theorem 2 report fail for that reason, and the census
+    # renders its FAIL lines and exits 1, rather than stopping in the
+    # normalizer, which needs G_R inside Aut(h)
+    def trivial(h):
+        n = h.vertex_count
+        return PermGroup(n, ((tuple(range(n)),),) * n, ())
+
+    monkeypatch.setattr(cdhg.perms, "aut_hypergraph", trivial)
+    text = run_census(3, 2).render()
+    missing = "a right translation is not an automorphism"
+    assert f"FAIL right_regular_in_aut: Z2 X=[(0, 1)]: {missing}" in text
+    for name in ("regular_subgroups", "normalizer_factorization", "aut_intersection"):
+        # Z1's one translation is the identity, in every Aut(h)
+        assert f"check {name}: 1 pass, 6 fail" in text
+        assert f"FAIL {name}: Z3 X=[(0,)]: {missing}" in text
+    assert text.endswith("result: FAIL\n")
+    assert main(["census", "--max-order", "3", "--max-member-size", "2"]) == 1
+    assert capsys.readouterr().out == text
 
 
 def test_check_tally_renders_each_skip_reason_once():

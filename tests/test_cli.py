@@ -1,5 +1,6 @@
 """Command line front end: build, analyze, census, error handling."""
 
+import math
 import os
 import subprocess
 import sys
@@ -135,9 +136,9 @@ def test_analyze_no_aut(capsys):
     assert "arcs: 21" in lines
 
 
-def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
-    # the backtracking search refuses more than 12 vertices, and the line
-    # says so; the group-side search is refused only by the order cap
+def test_analyze_answers_the_directed_21_cycle(capsys, tmp_path):
+    # no vertex count is refused as such: the 21-cycle's search tries
+    # few images, and its Aut(h) is the translations, all normalising
     group_file = tmp_path / "z21.group"
     group_file.write_text(serialize_group(make_cyclic(21)))
     hyperset_file = tmp_path / "step.hyperset"
@@ -150,8 +151,8 @@ def test_analyze_cutoff_names_the_refusing_limit(capsys, tmp_path):
     )
     assert rc == 0
     lines = out.splitlines()
-    assert "aut_h: skipped: over cutoff (21 > 12)" in lines
-    assert "normalizer: skipped: over cutoff (21 > 12)" in lines
+    assert "aut_h: 21" in lines
+    assert "normalizer: 21" in lines
     assert "aut_g_x: 1" in lines
 
 
@@ -173,27 +174,28 @@ def analyze_step(capsys, tmp_path, g):
     return out.splitlines()
 
 
-def refused_aut_g_x(lines):
-    """N of the report line 'aut_g_x: skipped: aut order over cap 50000:
+def refused(lines, key):
+    """N of the report line '<key>: skipped: aut order over cap 50000:
     at least N'."""
-    (line,) = [line for line in lines if line.startswith("aut_g_x: ")]
-    return refused_at_least(line.removeprefix("aut_g_x: skipped: "))
+    (line,) = [line for line in lines if line.startswith(f"{key}: ")]
+    return refused_at_least(line.removeprefix(f"{key}: skipped: "))
 
 
 def test_analyze_refuses_group_automorphisms_over_cap(capsys, tmp_path):
     # X = {{0, 1}} is preserved by the 322,560 automorphisms of Z2^5
-    # that fix 1, and the cap refuses them by the order of their chain
+    # that fix 1, and the cap refuses them by the order of their chain;
+    # h is 16 disjoint undirected edges, with 2^16 * 16! automorphisms
     lines = analyze_step(capsys, tmp_path, elementary_abelian_2(5))
-    assert "aut_h: skipped: over cutoff (32 > 12)" in lines
-    assert 50000 < refused_aut_g_x(lines) <= 322560
+    assert 50000 < refused(lines, "aut_h") <= 2**16 * math.factorial(16)
+    assert 50000 < refused(lines, "aut_g_x") <= 322560
 
 
 def test_analyze_refuses_group_automorphisms_of_z2_7(capsys, tmp_path):
     # |GL(7,2)| / 127 automorphisms of Z2^7 fix 1; the refusal bounds
-    # their number without listing one
+    # their number without listing one, and Aut(h)'s, 2^64 * 64!, too
     lines = analyze_step(capsys, tmp_path, elementary_abelian_2(7))
-    assert "aut_h: skipped: over cutoff (128 > 12)" in lines
-    assert 50000 < refused_aut_g_x(lines) <= 1290157424640
+    assert 50000 < refused(lines, "aut_h") <= 2**64 * math.factorial(64)
+    assert 50000 < refused(lines, "aut_g_x") <= 1290157424640
 
 
 def test_analyze_is_deterministic(capsys):

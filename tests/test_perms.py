@@ -4,6 +4,7 @@ regular subgroups, recovery, normalizers, and the factorization report."""
 import gc
 import hashlib
 import math
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -18,6 +19,7 @@ from sympy.combinatorics import (
 
 import cdhg.census
 import cdhg.cli
+import cdhg.hypergraphs
 import oracles
 from cdhg import (
     CayleyPresentations,
@@ -150,11 +152,11 @@ def test_aut_disconnected_pairs():
 
 
 def test_aut_refuses_over_cutoff():
-    from cdhg import Dihypergraph
-
+    # 13 vertices and no arcs give S13, refused by the chain's order
     h = Dihypergraph(vertex_count=13, arcs=frozenset())
-    with pytest.raises(CutoffExceeded, match=r"over cutoff \(13 > 12\)"):
+    with pytest.raises(CutoffExceeded) as refused:
         aut_hypergraph(h)
+    assert 50000 < refused_at_least(refused.value) <= math.factorial(13)
 
 
 def test_aut_refuses_large_order_before_enumerating(monkeypatch):
@@ -174,13 +176,83 @@ def test_aut_refuses_large_order_before_enumerating(monkeypatch):
         assert 50000 < refused_at_least(refused.value) <= order
 
 
-def test_isomorphism_refuses_over_cutoff():
-    # sizes agree, so the search itself is reached and refuses
+def test_isomorphism_past_twelve_vertices():
+    # two directed 13-cycles, one stepping by 1 and one by 2
     z13 = make_cyclic(13)
     a = cd_construct(z13, validate_hyperset(z13, [[0, 1]]))
     b = cd_construct(z13, validate_hyperset(z13, [[0, 2]]))
-    with pytest.raises(CutoffExceeded, match=r"over cutoff \(13 > 12\)"):
-        hypergraph_isomorphic(a, b)
+    q = hypergraph_isomorphic(a, b)
+    assert q is not None and oracles.carries_arcs(q, a.arcs, b.arcs)
+
+
+def cyclic_cd(n, members):
+    zn = make_cyclic(n)
+    return cd_construct(zn, validate_hyperset(zn, members))
+
+
+@pytest.mark.parametrize(
+    "n, members, order",
+    [
+        (21, [[0, 1]], 21),
+        *((n, [[0, 1], [0, n - 1]], 2 * n) for n in range(13, 25)),
+        (13, [[0, 5], [0, 8]], 26),
+        (64, [[0, 1, 3]], 64),
+    ],
+)
+def test_aut_past_twelve_vertices(n, members, order):
+    # directed and undirected cycles, and a 64-vertex 3-uniform one: the
+    # found maps preserve the arcs, and sympy's Schreier-Sims closes them
+    # to the chain's order
+    h = cyclic_cd(n, members)
+    aut = aut_hypergraph(h)
+    assert aut.order == order
+    gens = [p.images for p in aut.generators]
+    assert oracles.preserves_arcs(gens, h.arcs)
+    group = SympyPermutationGroup([SympyPermutation(list(p)) for p in gens])
+    assert group.order() == order
+
+
+@pytest.mark.parametrize("n, members, order", [(21, [[0, 1]], 21), (13, [[0, 5], [0, 8]], 26)])
+def test_aut_past_twelve_vertices_agrees_with_vf2(n, members, order):
+    h = cyclic_cd(n, members)
+    assert aut_hypergraph(h).order == order == oracles.vf2_automorphism_count(n, h.arcs)
+
+
+# a fixed shuffle of 0..19, on which the search for a map onto the
+# 20-cycle below places its far vertices blindly, as its Aut search does
+SHUFFLE_20 = (10, 18, 16, 14, 0, 17, 11, 2, 3, 9, 5, 7, 4, 19, 6, 15, 8, 1, 13, 12)
+
+
+def test_search_cap_refuses_the_20_cycle_stepping_by_3():
+    # CD(Z20, {{0,3},{0,17}}) is a 20-cycle whose vertex order jumps round
+    # it; the pair codes see adjacency alone, so both searches pass the
+    # cap on the images tried, and are refused well within a second
+    h = cyclic_cd(20, [[0, 3], [0, 17]])
+    copy = Dihypergraph(
+        vertex_count=20,
+        arcs=frozenset((SHUFFLE_20[v], tuple(sorted(SHUFFLE_20[u] for u in e))) for v, e in h.arcs),
+    )
+    for search in (lambda: aut_hypergraph(h), lambda: hypergraph_isomorphic(h, copy)):
+        start = time.perf_counter()
+        with pytest.raises(CutoffExceeded, match=r"^search over cap 50000: more than 50000 images tried$"):
+            search()
+        assert time.perf_counter() - start < 1
+
+
+def test_pair_cap_refuses_224_vertices_before_the_codes(monkeypatch):
+    # 223^2 vertex pairs are within the cap, 224^2 are not, and the
+    # refusal comes before any pair code is made
+    assert aut_hypergraph(cyclic_cd(223, [[0, 1]])).order == 223
+    calls = []
+    monkeypatch.setattr(cdhg.hypergraphs, "_pair_codes", calls.append)
+    h = cyclic_cd(224, [[0, 1]])
+    copy = cyclic_cd(224, [[0, 223]])
+    for search in (lambda: aut_hypergraph(h), lambda: hypergraph_isomorphic(h, copy)):
+        start = time.perf_counter()
+        with pytest.raises(CutoffExceeded, match=r"^over cap 50000: 224 vertices give 50176 vertex pairs$"):
+            search()
+        assert time.perf_counter() - start < 1
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
